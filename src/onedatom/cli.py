@@ -264,21 +264,28 @@ def _cmd_dynamics(ns, parser):
     if p_in < 0.0:
         parser.error("drive power must be >= 0")
     drive = DriveField.from_power(ns.delta_omega, p_in)
+    samples = ns.samples
+    if (isinstance(samples, bool) or not isinstance(samples, (int, float))
+            or not samples >= 2 or not float(samples).is_integer()):
+        parser.error(f"--samples must be an integer >= 2, got {samples!r}")
+    samples = int(samples)
     duration = ns.duration if ns.duration is not None else 20.0 / params.gamma
     initial = BlochState(complex(ns.initial_re_s, ns.initial_im_s),
                          ns.initial_s_z)
     results = {}
+    nfev = settle_windows = 0
     if ns.settle:
         settled = dynamics.settle(drive, params, ns.settle_tol,
-                                  rtol=ns.rtol, full_system=ns.full_system)
+                                  rtol=ns.rtol, atol=ns.atol,
+                                  full_system=ns.full_system)
         duration = settled.time
+        nfev, settle_windows = settled.nfev, settled.windows
         results["settled"] = {
             "re_s": settled.state.s.real, "im_s": settled.state.s.imag,
             "s_z": settled.state.s_z, "time": settled.time,
             "windows": settled.windows}
     traj = dynamics.integrate(drive, params, initial, duration,
-                              rtol=ns.rtol, atol=ns.atol,
-                              samples=int(ns.samples),
+                              rtol=ns.rtol, atol=ns.atol, samples=samples,
                               full_system=ns.full_system)
     with open_out(ns.out) as fh:
         n = traj.write_csv(fh)
@@ -287,10 +294,13 @@ def _cmd_dynamics(ns, parser):
     _write_manifest(ns, {
         "command": "dynamics",
         "options": {"delta_omega": ns.delta_omega, "p_in": p_in,
-                    "duration": duration, "samples": int(ns.samples),
-                    "rtol": ns.rtol, "full_system": ns.full_system,
-                    "settle": ns.settle},
+                    "duration": duration, "samples": samples,
+                    "rtol": ns.rtol, "atol": ns.atol,
+                    "full_system": ns.full_system, "settle": ns.settle},
         "derived": _params_view(params), "results": results,
+        "diagnostics": {"solver": {"method": "LSODA",
+                                   "nfev": nfev + traj.nfev,
+                                   "settle_windows": settle_windows}},
         "rows": n, "versions": _versions()})
     return 0
 
@@ -482,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--power", type=float, help="drive power (photons/s)")
     sp.add_argument("--delta-omega", type=float, help="emitter-drive detuning")
     sp.add_argument("--duration", type=float, help="integration time (default 20/gamma)")
-    sp.add_argument("--samples", type=float, help="number of output samples")
+    sp.add_argument("--samples", type=float,
+                    help="number of output samples, an integer >= 2 (default 1001)")
     sp.add_argument("--rtol", type=float)
     sp.add_argument("--atol", type=float)
     sp.add_argument("--initial-re-s", type=float)

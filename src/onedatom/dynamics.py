@@ -1,9 +1,12 @@
 """Time-domain integration of the semiclassical Bloch equations.
 
 This module is the independent oracle for every closed-form steady state in
-the package: it integrates the mean-value equations of motion with an
-adaptive embedded Runge-Kutta 4(5) scheme and reconstructs the port
-amplitudes from the algebraic output relations at every sample.
+the package: it integrates the mean-value equations of motion with LSODA
+(ODEPACK's variable-order solver, which switches between Adams steps while
+the problem is non-stiff and BDF steps once it turns stiff) and
+reconstructs the port amplitudes from the algebraic output relations at
+every sample.  scipy.integrate is imported on the first integration, not
+with the package.
 
 Two levels of description are available.  The default integrates the
 cavity-eliminated dipole equations (valid in the bad-cavity regime, where
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .csvio import write_csv
 from .errors import NoConvergence, NonPositiveRate, StepCollapse
@@ -44,6 +46,9 @@ class Trajectory:
     b_t: np.ndarray
     b_r: np.ndarray
     a: np.ndarray | None = None
+    #: Right-hand-side evaluations the solver made, finite-difference
+    #: Jacobian columns included.
+    nfev: int = 0
 
     def state_at(self, i) -> BlochState:
         return BlochState(complex(self.s[i]), float(self.s_z[i]))
@@ -106,6 +111,17 @@ def _adiabatic_cavity(s, drive: DriveField, params: SystemParams) -> complex:
             / params.kappa)
 
 
+def _system(drive: DriveField, params: SystemParams, initial: BlochState,
+            full_system: bool):
+    """Right-hand side and initial vector for one of the two descriptions."""
+    if full_system:
+        a0 = _adiabatic_cavity(initial.s, drive, params)
+        y0 = (initial.s.real, initial.s.imag, initial.s_z, a0.real, a0.imag)
+        return _full_rhs(drive, params), y0
+    y0 = (initial.s.real, initial.s.imag, initial.s_z)
+    return _eliminated_rhs(drive, params), y0
+
+
 def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
               duration, *, rtol=1e-10, atol=1e-12, samples=None,
               full_system=False, max_step=np.inf) -> Trajectory:
@@ -126,6 +142,8 @@ def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
     ------
     InvalidInitial, NonPositiveRate, StepCollapse
     """
+    from scipy.integrate import solve_ivp
+
     initial.require_physical()
     if not duration > 0.0:
         raise NonPositiveRate(f"duration must be > 0, got {duration}")
@@ -135,14 +153,8 @@ def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
         t_eval = np.linspace(0.0, duration, int(samples))
     else:
         t_eval = np.asarray(samples, dtype=float)
-    if full_system:
-        a0 = _adiabatic_cavity(initial.s, drive, params)
-        y0 = (initial.s.real, initial.s.imag, initial.s_z, a0.real, a0.imag)
-        rhs = _full_rhs(drive, params)
-    else:
-        y0 = (initial.s.real, initial.s.imag, initial.s_z)
-        rhs = _eliminated_rhs(drive, params)
-    sol = solve_ivp(rhs, (0.0, float(duration)), y0, method="RK45",
+    rhs, y0 = _system(drive, params, initial, full_system)
+    sol = solve_ivp(rhs, (0.0, float(duration)), y0, method="LSODA",
                     rtol=rtol, atol=atol, t_eval=t_eval, max_step=max_step)
     if not sol.success:
         raise StepCollapse(f"integrator failed: {sol.message}")
@@ -156,7 +168,8 @@ def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
         a = None
         b_t, b_r = output_amplitudes(s, drive, params)
     return Trajectory(times=sol.t, s=s, s_z=s_z,
-                      b_t=np.asarray(b_t), b_r=np.asarray(b_r), a=a)
+                      b_t=np.asarray(b_t), b_r=np.asarray(b_r), a=a,
+                      nfev=int(sol.nfev))
 
 
 #: Window (in units of 1/gamma) over which settle compares successive states.
@@ -170,36 +183,52 @@ class SettleResult:
     state: BlochState
     time: float
     windows: int
+    #: Right-hand-side evaluations of the one solver run.
+    nfev: int = 0
 
 
 def settle(drive: DriveField, params: SystemParams, tol=1e-9, *,
            rtol=1e-10, atol=1e-13, full_system=False) -> SettleResult:
     """Relax from the ground state until the state stops changing.
 
-    Integrates window by window (window = 5/gamma) and returns once the
-    componentwise change of (Re s, Im s, s_z) over one window drops below
-    ``tol``.
+    One solver run steps from the ground state towards t = 1000/gamma; at
+    every window boundary (window = 5/gamma) the state is read from the
+    dense output of the step that covers it.  Returns once the componentwise
+    change of (Re s, Im s, s_z) over one window drops below ``tol``.
 
     Raises
     ------
     NoConvergence
         If the change is still above ``tol`` at t = 1000/gamma.
+    StepCollapse
+        If the solver fails.
     """
+    from scipy.integrate import LSODA
+
     if not tol > 0.0:
         raise NonPositiveRate(f"tol must be > 0, got {tol}")
     window = SETTLE_WINDOW / params.gamma
     max_windows = int(round(SETTLE_MAX_TIME / SETTLE_WINDOW))
-    state = BlochState.ground()
-    for k in range(1, max_windows + 1):
-        traj = integrate(drive, params, state, window, rtol=rtol, atol=atol,
-                         samples=(0.0, window), full_system=full_system)
-        new = traj.final_state
-        diff = max(abs(new.s.real - state.s.real),
-                   abs(new.s.imag - state.s.imag),
-                   abs(new.s_z - state.s_z))
-        state = new
-        if diff < tol:
-            return SettleResult(state=state, time=k * window, windows=k)
+    rhs, y0 = _system(drive, params, BlochState.ground(), full_system)
+    solver = LSODA(rhs, 0.0, y0, max_windows * window, rtol=rtol, atol=atol)
+    prev = solver.y[:3]
+    k = 1
+    while solver.status == "running":
+        solver.step()
+        if solver.status == "failed":
+            raise StepCollapse(f"integrator failed at t={solver.t:g}")
+        dense = None
+        while k <= max_windows and k * window <= solver.t:
+            if dense is None:
+                dense = solver.dense_output()
+            new = dense(k * window)[:3]
+            diff = float(np.max(np.abs(new - prev)))
+            if diff < tol:
+                state = BlochState(complex(new[0], new[1]), float(new[2]))
+                return SettleResult(state=state, time=k * window, windows=k,
+                                    nfev=solver.nfev)
+            prev = new
+            k += 1
     raise NoConvergence(
         f"state still changing by more than tol={tol} after "
         f"{SETTLE_MAX_TIME:g}/gamma")

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from onedatom import cli
 from onedatom.cli import parse_grid, run
 
 
@@ -108,6 +113,86 @@ def test_dynamics_settle_manifest(tmp_path):
                 "--kappa", "500", "--out", str(out)]) == 0
     settled = read_manifest(out)["results"]["settled"]
     assert settled["s_z"] == pytest.approx(-0.25, abs=1e-6)
+
+
+def test_dynamics_manifest_solver_diagnostics(tmp_path):
+    out = tmp_path / "settle.csv"
+    assert run(["dynamics", "--x", "1", "--settle", "--samples", "5",
+                "--kappa", "500", "--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    solver = manifest["diagnostics"]["solver"]
+    assert set(solver) == {"method", "nfev", "settle_windows"}
+    assert solver["method"] == "LSODA"
+    assert isinstance(solver["nfev"], int) and solver["nfev"] > 0
+    assert solver["settle_windows"] == manifest["results"]["settled"]["windows"]
+    header, rows = read_csv(out)
+    assert header == ["t", "re_s", "im_s", "s_z",
+                      "re_bt", "im_bt", "re_br", "im_br"]
+    # Only deterministic counts: a second run writes the same manifest.
+    again = tmp_path / "again.csv"
+    assert run(["dynamics", "--x", "1", "--settle", "--samples", "5",
+                "--kappa", "500", "--out", str(again)]) == 0
+    assert read_manifest(again)["diagnostics"] == manifest["diagnostics"]
+
+    plain = tmp_path / "plain.csv"
+    assert run(["dynamics", "--x", "1", "--samples", "5", "--kappa", "500",
+                "--out", str(plain)]) == 0
+    solver = read_manifest(plain)["diagnostics"]["solver"]
+    assert solver["settle_windows"] == 0 and solver["nfev"] > 0
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "1", "2.7", "nan", "inf"])
+def test_dynamics_rejects_bad_sample_counts(tmp_path, capsys, value):
+    out = tmp_path / "traj.csv"
+    assert run(["dynamics", "--x", "1", "--samples", value,
+                "--out", str(out)]) == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dynamics_rejects_bad_sample_count_from_config(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"samples": 2.7}))
+    assert run(["dynamics", "--config", str(config),
+                "--out", str(tmp_path / "traj.csv")]) == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_dynamics_accepts_integral_sample_count(tmp_path):
+    out = tmp_path / "traj.csv"
+    assert run(["dynamics", "--x", "1", "--samples", "2", "--duration", "1",
+                "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 2 and rows[-1][0] == 1.0
+    assert read_manifest(out)["options"]["samples"] == 2
+
+
+def test_dynamics_passes_atol_to_settle(tmp_path, monkeypatch):
+    seen = {}
+    real_settle = cli.dynamics.settle
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return real_settle(*args, **kwargs)
+
+    monkeypatch.setattr(cli.dynamics, "settle", spy)
+    out = tmp_path / "settle.csv"
+    assert run(["dynamics", "--x", "1", "--settle", "--samples", "5",
+                "--atol", "1e-11", "--out", str(out)]) == 0
+    assert seen["atol"] == 1e-11
+    assert read_manifest(out)["options"]["atol"] == 1e-11
+
+
+def test_cli_import_does_not_load_the_integrator():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys, onedatom.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_pillar_optimization_manifest(tmp_path):

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from onedatom import (BlochState, DriveField, InvalidInitial, NoConvergence,
                       NonPositiveRate, critical_power, make_params,
                       output_amplitudes, params_from_ratios,
                       scatter_nonlinear, steady_state, transmission_leaky)
-from onedatom.dynamics import TRAJECTORY_COLUMNS, integrate, settle
+from onedatom import dynamics
+from onedatom.dynamics import (TRAJECTORY_COLUMNS, SettleResult, Trajectory,
+                               integrate, settle)
 
 IDEAL = make_params(gamma=1.0, kappa=500.0)
 NO_DRIVE = DriveField(0.0, 0.0)
@@ -150,3 +153,55 @@ def test_full_system_weak_drive_outputs_match_closed_form():
     b_t, _ = output_amplitudes(res.state.s, drive, p)
     lin = transmission_leaky(0.0, p)
     assert abs(b_t / drive.b_in - lin.t) < 1e-5
+
+
+@pytest.mark.parametrize("delta, dw, x, full_system", [
+    (150.0, 2.7, 50.0, False),   # strongly driven, detuned: Rabi-limited
+    (0.0, 0.5, 1e-3, True),      # weakly driven, stiff (kappa/gamma = 500)
+])
+def test_trajectory_matches_rk45_reference(delta, dw, x, full_system):
+    # scipy's explicit RK45 on the same equations and tolerances is an
+    # integrator independent of the LSODA path under test.
+    p = make_params(1.0, 500.0, delta=delta)
+    drive = DriveField.from_power(dw, x * critical_power(dw, p))
+    traj = integrate(drive, p, BlochState.ground(), 20.0, samples=1001,
+                     full_system=full_system)
+    rhs, y0 = dynamics._system(drive, p, BlochState.ground(), full_system)
+    ref = solve_ivp(rhs, (0.0, 20.0), y0, method="RK45", rtol=1e-10,
+                    atol=1e-12, t_eval=np.linspace(0.0, 20.0, 1001))
+    assert ref.success
+    got = [traj.s.real, traj.s.imag, traj.s_z]
+    if full_system:
+        got += [traj.a.real, traj.a.imag]
+    assert np.max(np.abs(np.array(got) - ref.y)) <= 1e-8
+
+
+def test_settle_reads_the_trajectory_at_its_window_boundary():
+    # settle reads its state from one solver run.  A slow system and a loose
+    # tol stop it while the state still moves, so integrating from the
+    # ground state over the reported time must land on the same state only
+    # if settle read it at the window boundary itself.
+    p = params_from_ratios(1.0, 500.0, q_ratio=0.1, f=math.inf)
+    drive = DriveField.from_power(0.3, 2.0 * critical_power(0.3, p))
+    res = settle(drive, p, 1e-4)
+    assert res.windows > 2 and res.time == res.windows * 5.0
+    traj = integrate(drive, p, BlochState.ground(), res.time, samples=2,
+                     atol=1e-13)
+    assert abs(traj.final_state.s - res.state.s) < 1e-8
+    assert abs(traj.final_state.s_z - res.state.s_z) < 1e-8
+
+
+def test_solver_reports_rhs_evaluations():
+    drive = DriveField.from_power(0.0, 0.25)
+    traj = integrate(drive, IDEAL, BlochState.ground(), 10.0, samples=11)
+    res = settle(drive, IDEAL, 1e-9)
+    assert isinstance(traj.nfev, int) and traj.nfev > 0
+    assert isinstance(res.nfev, int) and res.nfev > 0
+    # Counts are deterministic for a fixed input.
+    assert integrate(drive, IDEAL, BlochState.ground(), 10.0,
+                     samples=11).nfev == traj.nfev
+    assert settle(drive, IDEAL, 1e-9).nfev == res.nfev
+    # Results built by hand carry no count.
+    assert SettleResult(BlochState.ground(), 0.0, 0).nfev == 0
+    assert Trajectory(traj.times, traj.s, traj.s_z, traj.b_t,
+                      traj.b_r).nfev == 0
