@@ -16,7 +16,7 @@ from .model import (BlochState, DriveField, ScatteringOutcome, SystemParams,
 from .linear import (LinearSpectrumPoint, Linewidths, ResonanceExtrema,
                      empty_cavity_t0, linewidths_ideal, resonance_extrema,
                      scattering_matrix_ideal, t0_prime, transmission_leaky)
-from .nonlinear import (SaturationCurvePoint, SaturationPoint,
+from .nonlinear import (SaturationCurve, SaturationCurvePoint, SaturationPoint,
                         critical_power, output_amplitudes, phi_ideal,
                         phi_leaky, saturation_curve, saturation_point,
                         scatter_nonlinear, scatter_steady, steady_state,
@@ -39,7 +39,7 @@ __all__ = [
     "LeakyNotSupported", "LinearSpectrumPoint", "Linewidths", "NoConvergence",
     "NonFiniteInput", "NonPositiveRate", "OffResonanceUnsupported",
     "OneDimAtomError", "OptimizeResult", "PillarDesign", "ReshapeResult",
-    "ResonanceExtrema", "SaturationCurvePoint", "SaturationPoint",
+    "ResonanceExtrema", "SaturationCurve", "SaturationCurvePoint", "SaturationPoint",
     "ScanFailed", "ScatteringOutcome", "SettleResult", "SlowLightResult",
     "StepCollapse", "SystemParams", "Trajectory", "UnsupportedRegime",
     "bistability_scan", "contrast_enhancement", "critical_power",

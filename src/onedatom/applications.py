@@ -130,6 +130,8 @@ def bistability_scan(params: SystemParams, fraction_a, x_grid) -> BistabilityRes
 
 @dataclass(frozen=True)
 class ReshapeResult:
+    """Contrast ratios at one high-pulse saturation ``x``, or arrays of them."""
+
     x: float
     extinction_in: float
     c_ideal: float
@@ -152,22 +154,28 @@ def contrast_enhancement(x, extinction_in, params: SystemParams) -> ReshapeResul
     maximal sensitivity to the input contrast as x -> 0 where it tends to
     d.  The leaky ratio uses the resonant transmission of the actual
     system, c_leaky = (1/d) T(x) / T(x/d); at x = 0 it is evaluated in the
-    limit (d for the ideal system, 1/d otherwise).
+    limit (d for the ideal system, 1/d otherwise).  ``x`` may be an array
+    of saturations, evaluated in one call; a scalar gives Python floats.
     """
-    if x < 0.0:
-        raise NonPositiveRate(f"x must be >= 0, got {x}")
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs < 0.0):
+        raise NonPositiveRate(f"x must be >= 0, got {xs.min()}")
     if not extinction_in > 1.0:
         raise NonPositiveRate(
             f"extinction_in must be > 1, got {extinction_in}")
     d = float(extinction_in)
-    c_ideal = d * ((1.0 + x) / (1.0 + x / d)) ** 2
-    if x == 0.0:
-        c_leaky = d if params.is_ideal else 1.0 / d
-    else:
-        c_leaky = (_resonant_transmission(x, params)
-                   / _resonant_transmission(x / d, params)) / d
-    return ReshapeResult(x=float(x), extinction_in=d,
-                         c_ideal=c_ideal, c_leaky=c_leaky)
+    flat = xs.reshape(-1)
+    c_ideal = d * ((1.0 + flat) / (1.0 + flat / d)) ** 2
+    # T(0) = 0 for the ideal system: 0/0 at x = 0, replaced by the limit.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = (_resonant_transmission(flat, params)
+                 / _resonant_transmission(flat / d, params)) / d
+    c_leaky = np.where(flat == 0.0, d if params.is_ideal else 1.0 / d, ratio)
+    if xs.ndim == 0:
+        return ReshapeResult(x=xs.item(), extinction_in=d,
+                             c_ideal=c_ideal.item(), c_leaky=c_leaky.item())
+    return ReshapeResult(x=xs, extinction_in=d, c_ideal=c_ideal.reshape(xs.shape),
+                         c_leaky=c_leaky.reshape(xs.shape))
 
 
 def kerr_equivalent(lambda_um, n2_cm2_per_w, intensity_w_per_cm2) -> float:

@@ -18,10 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy
@@ -35,7 +33,11 @@ from .nonlinear import scatter_steady
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """Parse "a:b:n" (linear, inclusive) or "log:a:b:n" (decades)."""
+    """Parse "a:b:n" (linear, inclusive) or "log:a:b:n" (decades).
+
+    Raises ValueError on malformed text, n < 2, non-finite endpoints, and
+    grid values that are not finite (or, on a log grid, underflow to 0).
+    """
     log = text.startswith("log:")
     body = text[4:] if log else text
     parts = body.split(":")
@@ -45,20 +47,27 @@ def parse_grid(text: str) -> np.ndarray:
     n = int(parts[2])
     if n < 2:
         raise ValueError(f"grid needs n >= 2 points, got {n}")
-    lin = np.linspace(a, b, n)
-    return 10.0 ** lin if log else lin
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"grid endpoints must be finite, got {text!r}")
+    with np.errstate(all="ignore"):
+        values = np.linspace(a, b, n)
+        if log:
+            values = 10.0 ** values
+    if not np.all(np.isfinite(values)) or (log and not np.all(values > 0.0)):
+        raise ValueError(f"grid {text!r} has values outside the float range")
+    return values
+
+
+def _grid_option(parser, flag, text):
+    """parse_grid for the option ``flag``; malformed values are usage errors."""
+    try:
+        return parse_grid(text)
+    except ValueError as exc:
+        parser.error(f"{flag}: {exc}")
 
 
 def _parse_list(spec: str) -> list[float]:
     return [float(tok) for tok in spec.split(",") if tok.strip()]
-
-
-def _pmap(threads, fn, items):
-    items = list(items)
-    if threads <= 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _json_safe(v):
@@ -131,8 +140,20 @@ def _add_common_options(sub):
     sub.add_argument("--config", help="JSON file mirroring the flag names")
     sub.add_argument("--out", help="CSV output path (default: stdout)")
     sub.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
-    sub.add_argument("--threads", type=int,
-                     help="worker threads for sweeps (default: machine parallelism)")
+
+
+def _config_value(parser, action, key, value):
+    """Convert a config value as argparse converts the flag's text."""
+    flag = action.option_strings[0]
+    if action.nargs == 0:                     # a store_true flag
+        if isinstance(value, bool):
+            return value
+    elif not isinstance(value, bool):
+        try:
+            return (action.type or str)(value)
+        except (TypeError, ValueError):
+            pass
+    parser.error(f"config key {key!r} ({flag}): invalid value {value!r}")
 
 
 def _apply_config(ns, parser, defaults):
@@ -150,10 +171,12 @@ def _apply_config(ns, parser, defaults):
         unknown = set(config) - set(vars(ns))
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subs.choices[ns.command]._actions}
     for key, value in vars(ns).items():
-        if value is None and key in config:
-            setattr(ns, key, config[key])
-    defaults = dict(defaults, threads=os.cpu_count() or 1)
+        if value is None and config.get(key) is not None:
+            setattr(ns, key, _config_value(parser, actions[key], key, config[key]))
     for key, value in defaults.items():
         if getattr(ns, key, None) is None:
             setattr(ns, key, value)
@@ -191,35 +214,30 @@ def _build_params(ns, parser, *, force_ideal=False):
 # subcommands
 
 def _cmd_spectrum(ns, parser):
-    _apply_config(ns, parser, dict(_SYSTEM_DEFAULTS, grid="-2:2:2001", x=0.0))
-    try:
-        grid = parse_grid(ns.grid)
-    except ValueError as exc:
-        parser.error(str(exc))
+    _apply_config(ns, parser, dict(_SYSTEM_DEFAULTS, grid="-2:2:2001", x=0.0,
+                                   evanescent=False))
+    nu = _grid_option(parser, "--grid", ns.grid)
     params = _build_params(ns, parser)
-    if ns.x < 0.0:
-        parser.error(f"--x must be >= 0, got {ns.x}")
-
-    def point(nu):
-        dw = nu * params.kappa - params.delta
-        empty = transmission_leaky(dw, params, empty_cavity=True,
-                                   evanescent=ns.evanescent)
-        if ns.x == 0.0:
-            pt = transmission_leaky(dw, params, evanescent=ns.evanescent)
-            t, r, leaks = pt.t, pt.r, pt.leaks
-        else:
-            drive = DriveField.from_power(dw, 0.25 * ns.x * params.gamma)
-            out = scatter_steady(drive, params)
-            t, r = (out.r, out.t) if ns.evanescent else (out.t, out.r)
-            leaks = out.p_noise / out.p_in
-        return (nu, dw, t.real, t.imag, r.real, r.imag,
-                abs(t) ** 2, abs(r) ** 2, leaks, empty.cap_t)
-
-    rows = _pmap(ns.threads, point, grid)
+    if not (math.isfinite(ns.x) and ns.x >= 0.0):
+        parser.error(f"--x must be finite and >= 0, got {ns.x}")
+    dw = nu * params.kappa - params.delta
+    empty = transmission_leaky(dw, params, empty_cavity=True,
+                               evanescent=ns.evanescent)
+    if ns.x == 0.0:
+        out = transmission_leaky(dw, params, evanescent=ns.evanescent)
+        leaks = out.leaks
+    else:
+        drive = DriveField.from_power(dw, 0.25 * ns.x * params.gamma)
+        out = scatter_steady(drive, params)
+        leaks = out.p_noise / out.p_in
+    t, r, cap_t, cap_r = out.t, out.r, out.cap_t, out.cap_r
+    if ns.x != 0.0 and ns.evanescent:
+        t, r, cap_t, cap_r = r, t, cap_r, cap_t
     header = ("nu", "delta_omega", "re_t", "im_t", "re_r", "im_r",
               "cap_t", "cap_r", "leaks", "cap_t0")
     with open_out(ns.out) as fh:
-        n = write_csv(fh, header, rows)
+        n = write_csv(fh, header, (nu, dw, t.real, t.imag, r.real, r.imag,
+                                   cap_t, cap_r, leaks, empty.cap_t))
     _write_manifest(ns, {
         "command": "spectrum",
         "options": {"grid": ns.grid, "x": ns.x, "evanescent": ns.evanescent},
@@ -230,18 +248,13 @@ def _cmd_spectrum(ns, parser):
 def _cmd_saturation(ns, parser):
     _apply_config(ns, parser, dict(_SYSTEM_DEFAULTS, x_grid="log:-3:4:701",
                                    ideal=False))
-    try:
-        grid = parse_grid(ns.x_grid)
-    except ValueError as exc:
-        parser.error(str(exc))
+    grid = _grid_option(parser, "--x-grid", ns.x_grid)
     params = _build_params(ns, parser, force_ideal=ns.ideal)
     curve = nonlinear.saturation_curve(params, grid)
     header = ("x", "x_eff", "cap_t", "cap_r", "noise_frac",
               "p_t_over_p_c", "p_r_over_p_c", "caution")
-    rows = ((pt.x, pt.x_eff, pt.cap_t, pt.cap_r, pt.noise_frac,
-             pt.p_t_over_p_c, pt.p_r_over_p_c, pt.caution) for pt in curve)
     with open_out(ns.out) as fh:
-        n = write_csv(fh, header, rows)
+        n = write_csv(fh, header, [getattr(curve, k) for k in header])
     _write_manifest(ns, {
         "command": "saturation",
         "options": {"x_grid": ns.x_grid, "ideal": ns.ideal},
@@ -261,8 +274,8 @@ def _cmd_dynamics(ns, parser):
     if ns.x is not None and ns.power is not None:
         parser.error("--x and --power are mutually exclusive")
     p_in = ns.power if ns.power is not None else 0.25 * (ns.x or 0.0) * params.gamma
-    if p_in < 0.0:
-        parser.error("drive power must be >= 0")
+    if not (math.isfinite(p_in) and p_in >= 0.0):
+        parser.error(f"--x/--power must give a finite drive power >= 0, got {p_in}")
     drive = DriveField.from_power(ns.delta_omega, p_in)
     samples = ns.samples
     if (isinstance(samples, bool) or not isinstance(samples, (int, float))
@@ -322,10 +335,11 @@ def _cmd_pillar(ns, parser):
                                    grid_step=ns.grid_step, **kwargs)
     header = ("d_um", "Q", "V_um3", "Fp", "f", "Tmax", "Tmin",
               "contrast", "eta", "beta_sq")
-    rows = ((m.d, m.q, m.v, m.fp, m.f, m.t_max, m.t_min,
-             m.contrast, m.eta, m.beta_sq) for m in res.sweep)
+    fields = ("d", "q", "v", "fp", "f", "t_max", "t_min",
+              "contrast", "eta", "beta_sq")
     with open_out(ns.out) as fh:
-        n = write_csv(fh, header, rows)
+        n = write_csv(fh, header, [[getattr(m, k) for m in res.sweep]
+                                   for k in fields])
     m = res.merit
     _write_manifest(ns, {
         "command": "pillar",
@@ -347,21 +361,22 @@ def _cmd_slowlight(ns, parser):
     try:
         fs = _parse_list(ns.f_list)
     except ValueError:
-        parser.error(f"--f-list must be comma-separated numbers, got {ns.f_list!r}")
+        fs = []
+    if not fs or not all(f > 0.0 for f in fs):
+        parser.error("--f-list must be comma-separated numbers > 0 "
+                     f"(inf allowed), got {ns.f_list!r}")
     gamma = ns.gamma_over_kappa * ns.kappa
-
-    def row(f):
+    header = ("f", "beta", "delay_analytic", "delay_numeric",
+              "t_per_stage", "n_half", "total_delay_at_n_half")
+    rows = []
+    for f in fs:
         params = make_params(gamma, ns.kappa,
                              gamma_at=0.0 if math.isinf(f) else gamma / f)
         r = applications.slow_light(params, n_stages=int(ns.n_stages))
-        return (r.f, r.beta, r.delay_analytic, r.delay_numeric,
-                r.t_per_stage, r.n_half, r.total_delay_at_n_half)
-
-    rows = _pmap(ns.threads, row, fs)
-    header = ("f", "beta", "delay_analytic", "delay_numeric",
-              "t_per_stage", "n_half", "total_delay_at_n_half")
+        rows.append((r.f, r.beta, r.delay_analytic, r.delay_numeric,
+                     r.t_per_stage, r.n_half, r.total_delay_at_n_half))
     with open_out(ns.out) as fh:
-        n = write_csv(fh, header, rows)
+        n = write_csv(fh, header, list(zip(*rows)))
     _write_manifest(ns, {
         "command": "slowlight",
         "options": {"f_list": ns.f_list, "gamma": gamma, "kappa": ns.kappa,
@@ -374,19 +389,21 @@ def _cmd_bistability(ns, parser):
     _apply_config(ns, parser, dict(
         _SYSTEM_DEFAULTS, fraction_a_list="0.1,0.5,0.9,0.99",
         x_grid="log:-3:4:7001"))
+    grid = _grid_option(parser, "--x-grid", ns.x_grid)
     try:
-        grid = parse_grid(ns.x_grid)
         fractions = _parse_list(ns.fraction_a_list)
-    except ValueError as exc:
-        parser.error(str(exc))
+    except ValueError:
+        fractions = []
+    if not fractions:
+        parser.error("--fraction-a-list must be comma-separated numbers, "
+                     f"got {ns.fraction_a_list!r}")
     params = _build_params(ns, parser)
     scans = [applications.bistability_scan(params, a, grid) for a in fractions]
     first = scans[0]
     header = ("x", "p_e", "p_t", "slope_analytic", "slope_numeric")
-    rows = zip(first.x, first.p_e, first.p_t,
-               first.slope_analytic, first.slope_numeric)
     with open_out(ns.out) as fh:
-        n = write_csv(fh, header, rows)
+        n = write_csv(fh, header, (first.x, first.p_e, first.p_t,
+                                   first.slope_analytic, first.slope_numeric))
     _write_manifest(ns, {
         "command": "bistability",
         "options": {"fraction_a_list": ns.fraction_a_list, "x_grid": ns.x_grid},
@@ -402,27 +419,21 @@ def _cmd_bistability(ns, parser):
 def _cmd_reshape(ns, parser):
     _apply_config(ns, parser, dict(_SYSTEM_DEFAULTS, extinction=100.0,
                                    x_grid="log:-3:2:501"))
-    try:
-        grid = parse_grid(ns.x_grid)
-    except ValueError as exc:
-        parser.error(str(exc))
+    grid = _grid_option(parser, "--x-grid", ns.x_grid)
     params = _build_params(ns, parser)
-    if ns.extinction <= 1.0:
-        parser.error("--extinction must be > 1")
-
-    def row(x):
-        r = applications.contrast_enhancement(x, ns.extinction, params)
-        return (r.x, r.c_ideal, r.c_leaky)
-
-    rows = _pmap(ns.threads, row, grid)
-    best = max(rows, key=lambda r: r[2])
+    if not (math.isfinite(ns.extinction) and ns.extinction > 1.0):
+        parser.error(f"--extinction must be finite and > 1, got {ns.extinction}")
+    res = applications.contrast_enhancement(grid, ns.extinction, params)
+    best = int(np.argmax(res.c_leaky))
     with open_out(ns.out) as fh:
-        n = write_csv(fh, ("x", "c_ideal", "c_leaky"), rows)
+        n = write_csv(fh, ("x", "c_ideal", "c_leaky"),
+                      (res.x, res.c_ideal, res.c_leaky))
     _write_manifest(ns, {
         "command": "reshape",
         "options": {"extinction": ns.extinction, "x_grid": ns.x_grid},
         "derived": _params_view(params),
-        "results": {"max_c_leaky": best[2], "x_at_max": best[0]},
+        "results": {"max_c_leaky": float(res.c_leaky[best]),
+                    "x_at_max": float(res.x[best])},
         "rows": n, "versions": _versions()})
     return 0
 
@@ -441,7 +452,7 @@ def _cmd_kerr(ns, parser):
     row = (ns.wavelength_um, ns.n2_cm2_per_w, ns.intensity_w_per_cm2,
            length_m, p_c, ns.sigma_cm2, i_pi)
     with open_out(ns.out) as fh:
-        n = write_csv(fh, header, [row])
+        n = write_csv(fh, header, [[v] for v in row])
     _write_manifest(ns, {
         "command": "kerr",
         "options": {"wavelength_um": ns.wavelength_um,
@@ -473,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", help="(dw+delta)/kappa grid, a:b:n (default -2:2:2001)")
     sp.add_argument("--x", type=float,
                     help="resonant saturation parameter (0 = linear spectrum)")
-    sp.add_argument("--evanescent", action="store_true",
+    sp.add_argument("--evanescent", action="store_true", default=None,
                     help="swap t and r (waveguide-coupled geometry)")
     _add_common_options(sp)
     sp.set_defaults(func=_cmd_spectrum)
@@ -481,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("saturation", help="resonant transmission vs drive power")
     _add_system_options(sp)
     sp.add_argument("--x-grid", help="saturation grid (default log:-3:4:701)")
-    sp.add_argument("--ideal", action="store_true",
+    sp.add_argument("--ideal", action="store_true", default=None,
                     help="force the lossless dephasing-free system")
     _add_common_options(sp)
     sp.set_defaults(func=_cmd_saturation)
@@ -499,9 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--initial-re-s", type=float)
     sp.add_argument("--initial-im-s", type=float)
     sp.add_argument("--initial-s-z", type=float)
-    sp.add_argument("--full-system", action="store_true",
+    sp.add_argument("--full-system", action="store_true", default=None,
                     help="keep the cavity amplitude dynamical")
-    sp.add_argument("--settle", action="store_true",
+    sp.add_argument("--settle", action="store_true", default=None,
                     help="relax to steady state; report it in the manifest")
     sp.add_argument("--settle-tol", type=float)
     _add_common_options(sp)

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_csv
-from .errors import NoConvergence, NonPositiveRate, StepCollapse
+from .errors import (NoConvergence, NonPositiveRate, StepCollapse,
+                     UnsupportedRegime)
 from .linear import t0_prime
 from .model import BlochState, DriveField, SystemParams
 from .nonlinear import output_amplitudes
@@ -58,11 +59,10 @@ class Trajectory:
         return self.state_at(-1)
 
     def write_csv(self, fh) -> int:
-        rows = ((float(t), float(s.real), float(s.imag), float(sz),
-                 float(bt.real), float(bt.imag), float(br.real), float(br.imag))
-                for t, s, sz, bt, br in zip(self.times, self.s, self.s_z,
-                                            self.b_t, self.b_r))
-        return write_csv(fh, TRAJECTORY_COLUMNS, rows)
+        return write_csv(fh, TRAJECTORY_COLUMNS,
+                         (self.times, self.s.real, self.s.imag, self.s_z,
+                          self.b_t.real, self.b_t.imag,
+                          self.b_r.real, self.b_r.imag))
 
 
 def _eliminated_rhs(drive: DriveField, params: SystemParams):
@@ -114,6 +114,9 @@ def _adiabatic_cavity(s, drive: DriveField, params: SystemParams) -> complex:
 def _system(drive: DriveField, params: SystemParams, initial: BlochState,
             full_system: bool):
     """Right-hand side and initial vector for one of the two descriptions."""
+    if np.ndim(drive.delta_omega) or np.ndim(drive.b_in):
+        raise UnsupportedRegime("the Bloch equations take a scalar drive, "
+                                "not an array sweep")
     if full_system:
         a0 = _adiabatic_cavity(initial.s, drive, params)
         y0 = (initial.s.real, initial.s.imag, initial.s_z, a0.real, a0.imag)
@@ -132,7 +135,8 @@ def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
     initial : BlochState
         Must satisfy the state invariants (|s_z| <= 1/2, |s|^2 <= 1/4).
     samples : int or array of floats, optional
-        Number of equally spaced output samples, or explicit sample times.
+        Number of equally spaced output samples (at least 2, so that both
+        t = 0 and t = duration are sampled), or explicit sample times.
         Default: the solver's own accepted steps.
     full_system : bool
         Keep the cavity amplitude dynamical instead of eliminating it.  The
@@ -141,6 +145,8 @@ def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
     Raises
     ------
     InvalidInitial, NonPositiveRate, StepCollapse
+    UnsupportedRegime
+        If the drive is an array sweep.
     """
     from scipy.integrate import solve_ivp
 
@@ -150,6 +156,8 @@ def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
     if samples is None:
         t_eval = None
     elif np.isscalar(samples):
+        if not samples >= 2:
+            raise NonPositiveRate(f"samples must be >= 2, got {samples}")
         t_eval = np.linspace(0.0, duration, int(samples))
     else:
         t_eval = np.asarray(samples, dtype=float)

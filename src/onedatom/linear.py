@@ -56,7 +56,11 @@ def scattering_matrix_ideal(delta_omega, params: SystemParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearSpectrumPoint:
-    """One point of a linear spectrum with its energy bookkeeping."""
+    """One point of a linear spectrum with its energy bookkeeping.
+
+    Every field is an array, one entry per detuning, when the spectrum was
+    evaluated on an array of detunings.
+    """
 
     delta_omega: float
     t: complex
@@ -80,21 +84,29 @@ def transmission_leaky(delta_omega, params: SystemParams, *,
     equations.  ``empty_cavity=True`` drops the atom term, giving
     t = -(Q/Q0) t0'.  ``evanescent=True`` swaps t and r, describing the
     geometry where the uncoupled cavity transmits instead of reflecting.
+
+    ``delta_omega`` may be a scalar or an array.  A scalar runs as a
+    one-element array through the same numpy operations, so it gives
+    bit for bit the entry the array call gives, returned as Python numbers.
     """
+    dw = np.asarray(delta_omega, dtype=float)
+    flat = dw.reshape(-1)
     q = params.q_ratio
-    t0p = t0_prime(delta_omega, params)
+    t0p = t0_prime(flat, params)
     if empty_cavity:
         t = -q * t0p
     else:
-        denom = t0p + params.inv_f + 2j * delta_omega / (q * params.gamma)
+        denom = t0p + params.inv_f + 2j * flat / (q * params.gamma)
         t = q * t0p * (-1.0 + t0p / denom)
     r = 1.0 + t
     if evanescent:
         t, r = r, t
-    cap_t = abs(t) ** 2
-    cap_r = abs(r) ** 2
-    return LinearSpectrumPoint(float(delta_omega), t, r, cap_t, cap_r,
-                               1.0 - cap_t - cap_r)
+    cap_t = np.abs(t) ** 2
+    cap_r = np.abs(r) ** 2
+    columns = (flat, t, r, cap_t, cap_r, 1.0 - cap_t - cap_r)
+    if dw.ndim == 0:
+        return LinearSpectrumPoint(*(c.item() for c in columns))
+    return LinearSpectrumPoint(*(c.reshape(dw.shape) for c in columns))
 
 
 @dataclass(frozen=True)

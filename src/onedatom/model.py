@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidInitial, NonFiniteInput, NonPositiveRate
 
 #: gamma/kappa threshold under which the adiabatic elimination of the cavity
@@ -146,15 +148,22 @@ class DriveField:
     second-port input is zero everywhere in this package; the linear
     scattering matrix is the one place where both ports enter, and it does so
     explicitly as a matrix.
+
+    Either field may be a numpy array, making the drive a sweep (of
+    detunings, of amplitudes, or of both, broadcast together) that the
+    steady-state and scattering closed forms evaluate in one call.  The
+    time-domain integrator takes scalar drives only.
     """
 
     delta_omega: float
     b_in: complex = 0.0 + 0.0j
 
     def __post_init__(self):
-        _require_finite("delta_omega", self.delta_omega)
-        if not (math.isfinite(self.b_in.real) and math.isfinite(self.b_in.imag)):
-            raise NonFiniteInput(f"b_in must be finite, got {self.b_in!r}")
+        for name in ("delta_omega", "b_in"):
+            bad = ~np.isfinite(getattr(self, name))
+            if np.any(bad):
+                raise NonFiniteInput(
+                    f"{name} must be finite, got {_show(getattr(self, name), bad)}")
 
     @property
     def p_in(self) -> float:
@@ -163,9 +172,26 @@ class DriveField:
 
     @classmethod
     def from_power(cls, delta_omega, p_in) -> "DriveField":
-        if p_in < 0.0:
-            raise NonPositiveRate(f"p_in must be >= 0, got {p_in}")
-        return cls(float(delta_omega), complex(math.sqrt(p_in)))
+        # A scalar drive stays in Python numbers: the Bloch right-hand side
+        # does its arithmetic with them at every solver step.
+        if np.ndim(delta_omega) == 0 and np.ndim(p_in) == 0:
+            if p_in < 0.0:
+                raise NonPositiveRate(f"p_in must be >= 0, got {p_in}")
+            return cls(float(delta_omega), complex(math.sqrt(p_in)))
+        p_in = np.asarray(p_in, dtype=float)
+        bad = p_in < 0.0
+        if np.any(bad):
+            raise NonPositiveRate(f"p_in must be >= 0, got {_show(p_in, bad)}")
+        return cls(np.asarray(delta_omega, dtype=float),
+                   np.sqrt(p_in).astype(complex))
+
+
+def _show(value, bad):
+    """Repr of a scalar, or of the first entry of an array flagged in ``bad``."""
+    if np.ndim(value) == 0:
+        return repr(value)
+    i = int(np.argmax(np.ravel(bad)))
+    return f"{np.ravel(value)[i]!r} at index {i}"
 
 
 @dataclass(frozen=True)
@@ -213,10 +239,17 @@ class ScatteringOutcome:
         return self.p_t + self.p_r + self.p_noise
 
 
+def _complex(v):
+    return complex(v) if np.ndim(v) == 0 else np.asarray(v, dtype=complex)
+
+
 def outcome_from_amplitudes(t, r, p_in) -> ScatteringOutcome:
-    """Build a :class:`ScatteringOutcome` from amplitude coefficients."""
-    t = complex(t)
-    r = complex(r)
+    """Build a :class:`ScatteringOutcome` from amplitude coefficients.
+
+    Scalars give Python numbers, arrays give arrays of the same shape.
+    """
+    t = _complex(t)
+    r = _complex(r)
     cap_t = abs(t) ** 2
     cap_r = abs(r) ** 2
     p_t = cap_t * p_in

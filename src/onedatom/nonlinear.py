@@ -2,12 +2,16 @@
 
 Saturation parameter, critical power (ideal and leaky), dipole
 susceptibility, nonlinear scattering at resonance, and saturation curves.
+The closed forms take array-valued drives (see `DriveField`) and then
+return arrays, so a whole sweep is one call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .errors import (DephasingUnsupported, LeakyNotSupported,
                      OffResonanceUnsupported, UnsupportedRegime)
@@ -112,7 +116,7 @@ def steady_state(drive: DriveField, params: SystemParams) -> BlochState:
     if params.gamma_star != 0.0:
         raise DephasingUnsupported(
             "leaky steady state is derived for gamma_star = 0")
-    if drive.delta_omega != 0.0 or params.delta != 0.0:
+    if np.any(drive.delta_omega != 0.0) or params.delta != 0.0:
         raise UnsupportedRegime(
             "leaky steady state in closed form requires full resonance "
             "(delta_omega = 0 and delta = 0); integrate the dynamics instead")
@@ -161,7 +165,7 @@ def scatter_nonlinear(drive: DriveField, params: SystemParams) -> ScatteringOutc
     DephasingUnsupported
         Leaky system with gamma_star > 0.
     """
-    if drive.delta_omega != 0.0 or params.delta != 0.0:
+    if np.any(drive.delta_omega != 0.0) or params.delta != 0.0:
         raise OffResonanceUnsupported(
             "scatter_nonlinear uses the resonant closed forms "
             "(delta_omega = 0, delta = 0); see scatter_steady for the "
@@ -194,7 +198,7 @@ def scatter_steady(drive: DriveField, params: SystemParams) -> ScatteringOutcome
     if not params.is_ideal:
         raise LeakyNotSupported(
             "off-resonant nonlinear scattering requires an ideal system")
-    if drive.p_in == 0.0:
+    if np.any(drive.p_in == 0.0):
         raise OffResonanceUnsupported(
             "scatter_steady requires p_in > 0; use transmission_leaky for "
             "the linear limit")
@@ -217,29 +221,55 @@ class SaturationCurvePoint:
     caution: bool
 
 
-def saturation_curve(params: SystemParams, x_grid) -> list[SaturationCurvePoint]:
+@dataclass(frozen=True)
+class SaturationCurve:
+    """A resonant saturation sweep as columns, one array per quantity.
+
+    Indexing and iteration give the rows as :class:`SaturationCurvePoint`.
+    """
+
+    x: np.ndarray
+    x_eff: np.ndarray
+    cap_t: np.ndarray
+    cap_r: np.ndarray
+    noise_frac: np.ndarray
+    p_t_over_p_c: np.ndarray
+    p_r_over_p_c: np.ndarray
+    caution: np.ndarray
+
+    def __len__(self):
+        return len(self.x)
+
+    def __getitem__(self, i) -> SaturationCurvePoint:
+        return SaturationCurvePoint(*(getattr(self, f.name)[i].item()
+                                      for f in fields(self)))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def saturation_curve(params: SystemParams, x_grid) -> SaturationCurve:
     """Evaluate the resonant scattering on a grid of saturation parameters.
 
     ``x_grid`` must be nonnegative and sorted; each x is the resonant-ideal
     normalization 4 P_in/gamma.  Points with 0.1 < x_eff < 10 are flagged
     as semiclassical-caution (the factorization is qualitative across the
-    nonlinear jump).
+    nonlinear jump).  The whole grid is one array drive through
+    :func:`scatter_nonlinear`.
     """
-    xs = [float(x) for x in x_grid]
-    if any(x < 0.0 for x in xs):
+    xs = np.asarray(x_grid, dtype=float).reshape(-1)
+    if np.any(xs < 0.0):
         raise UnsupportedRegime("x_grid values must be >= 0")
-    if any(b < a for a, b in zip(xs, xs[1:])):
+    if np.any(xs[1:] < xs[:-1]):
         raise UnsupportedRegime("x_grid must be sorted ascending")
     p_c = critical_power(0.0, params)
-    rows = []
-    for x in xs:
-        drive = DriveField.from_power(0.0, 0.25 * x * params.gamma)
-        out = scatter_nonlinear(drive, params)
-        x_eff = drive.p_in / p_c
-        noise = out.p_noise / drive.p_in if drive.p_in > 0.0 else 0.0
-        rows.append(SaturationCurvePoint(
-            x=x, x_eff=x_eff, cap_t=out.cap_t, cap_r=out.cap_r,
-            noise_frac=noise,
-            p_t_over_p_c=out.p_t / p_c, p_r_over_p_c=out.p_r / p_c,
-            caution=CAUTION_RANGE[0] < x_eff < CAUTION_RANGE[1]))
-    return rows
+    drive = DriveField.from_power(0.0, 0.25 * xs * params.gamma)
+    out = scatter_nonlinear(drive, params)
+    p_in = drive.p_in
+    x_eff = p_in / p_c
+    noise = np.divide(out.p_noise, p_in, out=np.zeros_like(p_in),
+                      where=p_in > 0.0)
+    return SaturationCurve(
+        x=xs, x_eff=x_eff, cap_t=out.cap_t, cap_r=out.cap_r, noise_frac=noise,
+        p_t_over_p_c=out.p_t / p_c, p_r_over_p_c=out.p_r / p_c,
+        caution=(CAUTION_RANGE[0] < x_eff) & (x_eff < CAUTION_RANGE[1]))

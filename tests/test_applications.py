@@ -170,3 +170,16 @@ def test_kerr_preconditions():
         switching_intensity(1e-9, 0.0)
     with pytest.raises(NonPositiveRate):
         critical_power_watts(-1.0, 1.0)
+
+
+def test_reshape_array_matches_scalar_calls_bit_for_bit():
+    xs = np.concatenate(([0.0], np.logspace(-3, 2, 60)))
+    for params in (IDEAL, params_from_ratios(1.0, 500.0, 0.96, 100.0)):
+        grid = contrast_enhancement(xs, 100.0, params)
+        for i, x in enumerate(xs):
+            one = contrast_enhancement(float(x), 100.0, params)
+            assert type(one.c_leaky) is float
+            assert (one.x, one.c_ideal, one.c_leaky) == (
+                grid.x[i], grid.c_ideal[i], grid.c_leaky[i])
+    with pytest.raises(NonPositiveRate):
+        contrast_enhancement(np.array([1.0, -1.0]), 4.0, IDEAL)

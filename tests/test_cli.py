@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from onedatom import cli
+from onedatom import (DriveField, cli, make_params, scatter_steady,
+                      transmission_leaky)
 from onedatom.cli import parse_grid, run
 
 
@@ -57,12 +58,38 @@ def test_spectrum_reproduces_linear_dip(tmp_path):
     assert "versions" in manifest
 
 
-def test_spectrum_determinism_across_threads(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["spectrum", "--grid", "-2:2:301"]
-    assert run(args + ["--threads", "1", "--out", str(a)]) == 0
-    assert run(args + ["--threads", "7", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """The `onedatom ...` lines of the README's command-line examples."""
+    return [line.split()[1:] for line in README.read_text().splitlines()
+            if line.startswith("onedatom ")]
+
+
+def test_readme_commands_are_deterministic(tmp_path, monkeypatch, capsys):
+    # Each README figure command, run twice, writes the same CSV and
+    # manifest bytes; the worker-pool option that once existed is gone.
+    commands = readme_commands()
+    assert len(commands) == 11
+    outputs = {}
+    for rep in ("a", "b"):
+        work = tmp_path / rep
+        work.mkdir()
+        monkeypatch.chdir(work)
+        for argv in commands:
+            assert run(argv) == 0, argv
+            out = pathlib.Path(argv[argv.index("--out") + 1])
+            manifest = pathlib.Path(f"{out}.manifest.json")
+            outputs.setdefault(out.name, []).append(
+                (out.read_bytes(), manifest.read_bytes()))
+    for name, (first, second) in outputs.items():
+        assert first == second, name
+    capsys.readouterr()
+    assert run(["spectrum", "--grid", "-2:2:301", "--threads", "1",
+                "--out", "threads.csv"]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not pathlib.Path("threads.csv").exists()
 
 
 def test_spectrum_nonlinear_requires_ideal(tmp_path, capsys):
@@ -298,3 +325,109 @@ def test_float_format_17_digits(tmp_path):
                       "cap_t", "cap_r", "leaks", "cap_t0"), row))
     assert named["cap_r"] == "1"
     assert float(named["re_r"]) == 1.0
+
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum", "--grid", "nan:1:5"], "--grid"),
+    (["spectrum", "--grid", "0:1e400:3"], "--grid"),
+    (["spectrum", "--x", "nan", "--grid", "0:1:5"], "--x"),
+    (["spectrum", "--x", "inf", "--grid", "0:1:5"], "--x"),
+    (["saturation", "--x-grid", "0:inf:5"], "--x-grid"),
+    (["saturation", "--x-grid", "log:0:400:3"], "--x-grid"),
+    (["reshape", "--x-grid", "log:-400:0:3"], "--x-grid"),
+    (["bistability", "--x-grid", "log:nan:1:3"], "--x-grid"),
+    (["reshape", "--extinction", "nan"], "--extinction"),
+    (["dynamics", "--x", "nan"], "--x/--power"),
+    (["dynamics", "--power", "inf"], "--x/--power"),
+])
+def test_non_finite_grids_and_drives_are_usage_errors(tmp_path, capsys,
+                                                      argv, flag):
+    out = tmp_path / "o.csv"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {flag}" in err or f"{flag} must" in err
+    assert not out.exists()
+
+
+def test_parse_grid_rejects_values_outside_the_float_range():
+    for text in ("nan:1:5", "0:1e400:3", "-inf:0:3", "-1e308:1.7e308:3",
+                 "log:0:400:3", "log:-400:0:3"):
+        with pytest.raises(ValueError):
+            parse_grid(text)
+    assert parse_grid("log:-300:300:3").tolist() == [1e-300, 1.0, 1e300]
+
+
+@pytest.mark.parametrize("f_list", ["0", "5,0", "-1", "nan", "", "a,b"])
+def test_slowlight_rejects_bad_f_list(tmp_path, capsys, f_list):
+    out = tmp_path / "sl.csv"
+    assert run(["slowlight", "--f-list", f_list, "--out", str(out)]) == 2
+    assert "--f-list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_slowlight_accepts_infinite_f(tmp_path):
+    out = tmp_path / "sl.csv"
+    assert run(["slowlight", "--f-list", "10,inf", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert [r[0] for r in rows] == [10.0, math.inf]
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"x": "abc"}, "'x'"), ({"x": [1]}, "'x'"), ({"x": True}, "'x'"),
+    ({"evanescent": "yes"}, "'evanescent'"),
+])
+def test_config_values_of_the_wrong_type_are_usage_errors(tmp_path, capsys,
+                                                          config, key):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "s.csv"
+    assert run(["spectrum", "--config", str(cfg), "--grid", "0:1:3",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "--" + key.strip("'") in err
+    assert not out.exists()
+
+
+def test_config_values_convert_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"x": "1", "grid": "-0.02:0.02:5",
+                               "evanescent": True}))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["spectrum", "--config", str(cfg), "--out", str(a)]) == 0
+    assert run(["spectrum", "--x", "1", "--grid", "-0.02:0.02:5",
+                "--evanescent", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_spectrum_columns_match_the_kernels(tmp_path):
+    params = make_params(0.002, 1.0, delta=0.3)
+    for extra in ([], ["--x", "2"]):
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--delta", "0.3", "--grid", "-1:1:41",
+                    "--evanescent", *extra, "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        col = dict(zip(header, np.array(rows).T))
+        dw = col["delta_omega"]
+        empty = transmission_leaky(dw, params, empty_cavity=True,
+                                   evanescent=True)
+        if extra:
+            res = scatter_steady(DriveField.from_power(dw, 0.25 * 2 * 0.002),
+                                 params)
+            t, r = res.r, res.t          # the evanescent geometry swaps them
+            leaks = res.p_noise / res.p_in
+        else:
+            res = transmission_leaky(dw, params, evanescent=True)
+            t, r, leaks = res.t, res.r, res.leaks
+        assert np.array_equal(col["re_t"], t.real)
+        assert np.array_equal(col["im_r"], r.imag)
+        assert np.array_equal(col["cap_t"], np.abs(t) ** 2)
+        assert np.array_equal(col["cap_r"], np.abs(r) ** 2)
+        assert np.array_equal(col["leaks"], leaks)
+        assert np.array_equal(col["cap_t0"], empty.cap_t)
+
+
+def test_bistability_rejects_empty_fraction_list(tmp_path, capsys):
+    out = tmp_path / "bi.csv"
+    assert run(["bistability", "--fraction-a-list", ",", "--x-grid",
+                "log:-3:4:11", "--out", str(out)]) == 2
+    assert "--fraction-a-list" in capsys.readouterr().err
+    assert not out.exists()

@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from onedatom import (BlochState, DriveField, InvalidInitial, NoConvergence,
-                      NonPositiveRate, critical_power, make_params,
+                      NonPositiveRate, UnsupportedRegime, critical_power,
+                      make_params,
                       output_amplitudes, params_from_ratios,
                       scatter_nonlinear, steady_state, transmission_leaky)
 from onedatom import dynamics
@@ -205,3 +206,31 @@ def test_solver_reports_rhs_evaluations():
     assert SettleResult(BlochState.ground(), 0.0, 0).nfev == 0
     assert Trajectory(traj.times, traj.s, traj.s_z, traj.b_t,
                       traj.b_r).nfev == 0
+
+
+@pytest.mark.parametrize("samples", [0, 1, -2, math.nan])
+def test_integrate_rejects_fewer_than_two_samples(samples):
+    drive = DriveField.from_power(0.0, 0.25)
+    with pytest.raises(NonPositiveRate, match="samples"):
+        integrate(drive, IDEAL, BlochState.ground(), 10.0, samples=samples)
+
+
+def test_integrate_and_settle_reject_an_array_drive():
+    drive = DriveField.from_power(np.array([0.0, 1.0]), 0.25)
+    with pytest.raises(UnsupportedRegime, match="scalar drive"):
+        integrate(drive, IDEAL, BlochState.ground(), 10.0, samples=5)
+    with pytest.raises(UnsupportedRegime, match="scalar drive"):
+        settle(drive, IDEAL)
+
+
+def test_csv_export_columns_are_the_trajectory_arrays():
+    drive = DriveField.from_power(0.3, 0.1)
+    traj = integrate(drive, IDEAL, BlochState.ground(), 5.0, samples=7)
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in buf.getvalue().splitlines()[1:]])
+    expected = np.column_stack([traj.times, traj.s.real, traj.s.imag,
+                                traj.s_z, traj.b_t.real, traj.b_t.imag,
+                                traj.b_r.real, traj.b_r.imag])
+    assert np.array_equal(rows, expected)

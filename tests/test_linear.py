@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from onedatom import (LeakyNotSupported, UnsupportedRegime, empty_cavity_t0,
@@ -170,3 +173,58 @@ def test_leaks_approximation_for_large_f():
     # exact identity L = 1 - R - T at resonance
     pt = transmission_leaky(0.0, p)
     assert ext.leaks_resonant == pytest.approx(pt.leaks, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# array evaluation: one code path for scalars and grids
+
+SPECTRUM_FIELDS = ("delta_omega", "t", "r", "cap_t", "cap_r", "leaks")
+
+
+@st.composite
+def leaky_systems(draw):
+    q = draw(st.floats(0.05, 1.0))
+    f = draw(st.one_of(st.just(math.inf), st.floats(0.05, 1e4)))
+    delta = draw(st.floats(-3.0, 3.0))
+    gamma = draw(st.floats(1e-4, 0.5))
+    return params_from_ratios(gamma, 1.0, q_ratio=q, f=f, delta=delta)
+
+
+detuning_arrays = arrays(np.float64, st.integers(1, 40),
+                         elements=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=leaky_systems(), dw=detuning_arrays,
+       empty=st.booleans(), evanescent=st.booleans())
+def test_transmission_array_matches_scalar_calls_bit_for_bit(
+        params, dw, empty, evanescent):
+    grid = transmission_leaky(dw, params, empty_cavity=empty,
+                              evanescent=evanescent)
+    points = [transmission_leaky(float(d), params, empty_cavity=empty,
+                                 evanescent=evanescent) for d in dw]
+    for name in SPECTRUM_FIELDS:
+        column = getattr(grid, name)
+        scalars = np.array([getattr(p, name) for p in points],
+                           dtype=column.dtype)
+        assert column.shape == dw.shape
+        assert column.tobytes() == scalars.tobytes(), name
+    assert all(type(p.t) is complex and type(p.cap_t) is float for p in points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=leaky_systems(), dw=detuning_arrays)
+def test_transmission_energy_budget(params, dw):
+    res = transmission_leaky(dw, params)
+    assert np.all(np.abs(res.cap_t + res.cap_r + res.leaks - 1.0) <= 1e-12)
+    # A passive device only loses power, and the lossless one loses none.
+    assert np.all(res.leaks >= -1e-12)
+    if params.is_ideal:
+        assert np.all(np.abs(res.leaks) <= 1e-12)
+
+
+def test_transmission_keeps_the_grid_shape():
+    dw = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    res = transmission_leaky(dw, IDEAL)
+    assert res.t.shape == res.leaks.shape == (3, 4)
+    assert res.cap_t[1, 2] == transmission_leaky(dw[1, 2], IDEAL).cap_t

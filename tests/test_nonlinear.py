@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
 from onedatom import (DephasingUnsupported, DriveField, LeakyNotSupported,
+                      NonFiniteInput, NonPositiveRate,
                       OffResonanceUnsupported, UnsupportedRegime,
                       critical_power, make_params, params_from_ratios,
                       phi_ideal, phi_leaky, resonance_extrema,
@@ -230,3 +231,53 @@ def test_saturation_curve_grid_validation():
         saturation_curve(IDEAL, [1.0, 0.5])
     with pytest.raises(UnsupportedRegime):
         saturation_curve(IDEAL, [-1.0, 0.5])
+
+
+def test_saturation_curve_columns_match_rows():
+    xs = np.logspace(-3, 3, 31)
+    for params in (IDEAL, params_from_ratios(1.0, 500.0, 0.8, 3.0)):
+        curve = saturation_curve(params, xs)
+        assert len(curve) == 31 and curve.caution.dtype == bool
+        for i, row in enumerate(curve):
+            assert row.cap_t == curve.cap_t[i]
+            assert row.caution == curve.caution[i]
+        assert curve[-1] == list(curve)[30]
+        assert curve.x.tolist() == xs.tolist()
+
+
+def test_saturation_curve_agrees_with_scalar_drives():
+    xs = np.concatenate(([0.0], np.logspace(-4, 4, 41)))
+    for params in (IDEAL, params_from_ratios(1.0, 500.0, 0.8, 3.0)):
+        curve = saturation_curve(params, xs)
+        for i, x in enumerate(xs):
+            out = scatter_nonlinear(DriveField.from_power(0.0, 0.25 * x), params)
+            assert curve.cap_t[i] == pytest.approx(out.cap_t, rel=1e-14, abs=1e-300)
+            assert curve.cap_r[i] == pytest.approx(out.cap_r, rel=1e-14)
+
+
+def test_array_drive_matches_scalar_drives():
+    p = make_params(1.0, 500.0, delta=-250.0)
+    dw = np.linspace(-4.0, 4.0, 33)
+    swept = scatter_steady(DriveField.from_power(dw, 0.6), p)
+    state = steady_state(DriveField.from_power(dw, 0.6), p)
+    assert swept.t.shape == state.s.shape == dw.shape
+    for i, d in enumerate(dw):
+        drive = DriveField.from_power(d, 0.6)
+        one = scatter_steady(drive, p)
+        assert abs(swept.t[i] - one.t) <= 1e-15 * max(1.0, abs(one.t))
+        assert abs(swept.r[i] - one.r) <= 1e-15 * max(1.0, abs(one.r))
+        assert swept.p_noise[i] == pytest.approx(one.p_noise, rel=1e-12,
+                                                 abs=1e-16)
+        assert abs(state.s[i] - steady_state(drive, p).s) < 1e-15
+
+
+def test_array_drive_validation_names_the_field():
+    with pytest.raises(NonFiniteInput, match="delta_omega.*index 2"):
+        DriveField.from_power(np.array([0.0, 1.0, np.nan]), 0.1)
+    with pytest.raises(NonPositiveRate, match="p_in.*index 1"):
+        DriveField.from_power(0.0, np.array([0.1, -0.1]))
+    with pytest.raises(OffResonanceUnsupported):
+        scatter_nonlinear(DriveField.from_power(np.array([0.0, 1.0]), 0.1),
+                          IDEAL)
+    with pytest.raises(OffResonanceUnsupported):
+        scatter_steady(DriveField.from_power(1.0, np.array([0.1, 0.0])), IDEAL)
