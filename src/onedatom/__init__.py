@@ -22,10 +22,10 @@ from .nonlinear import (SaturationCurve, SaturationCurvePoint, SaturationPoint,
                         scatter_nonlinear, scatter_steady, steady_state,
                         susceptibility)
 from .dynamics import SettleResult, Trajectory, integrate, settle
-from .pillar import (FieldProfileModel, FiguresOfMerit, OptimizeResult,
-                     PillarDesign, default_field_model, figures_of_merit,
-                     mode_volume, optimize_diameter, purcell_factor,
-                     q_total, sweep_diameter)
+from .pillar import (DiameterSweep, FieldProfileModel, FiguresOfMerit,
+                     OptimizeResult, PillarDesign, default_field_model,
+                     figures_of_merit, mode_volume, optimize_diameter,
+                     purcell_factor, q_total, sweep_diameter)
 from .applications import (BistabilityResult, ReshapeResult, SlowLightResult,
                            bistability_scan, contrast_enhancement,
                            critical_power_watts, kerr_equivalent, slow_light,
@@ -34,10 +34,10 @@ from .applications import (BistabilityResult, ReshapeResult, SlowLightResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BistabilityResult", "BlochState", "DephasingUnsupported", "DomainError",
-    "DriveField", "FieldProfileModel", "FiguresOfMerit", "InvalidInitial",
-    "LeakyNotSupported", "LinearSpectrumPoint", "Linewidths", "NoConvergence",
-    "NonFiniteInput", "NonPositiveRate", "OffResonanceUnsupported",
+    "BistabilityResult", "BlochState", "DephasingUnsupported", "DiameterSweep",
+    "DomainError", "DriveField", "FieldProfileModel", "FiguresOfMerit",
+    "InvalidInitial", "LeakyNotSupported", "LinearSpectrumPoint", "Linewidths",
+    "NoConvergence", "NonFiniteInput", "NonPositiveRate", "OffResonanceUnsupported",
     "OneDimAtomError", "OptimizeResult", "PillarDesign", "ReshapeResult",
     "ResonanceExtrema", "SaturationCurve", "SaturationCurvePoint", "SaturationPoint",
     "ScanFailed", "ScatteringOutcome", "SettleResult", "SlowLightResult",

@@ -327,6 +327,13 @@ def _cmd_pillar(ns, parser):
         parser.error("--q0 is required")
     if ns.objective not in pillar.OBJECTIVES:
         parser.error(f"--objective must be one of {pillar.OBJECTIVES}")
+    for key in ("q0", "d_min", "d_max", "grid_step", "epsilon", "wavelength",
+                "n_index", "loss_ratio", "gamma_star_ratio"):
+        if not math.isfinite(getattr(ns, key)):
+            parser.error(f"--{key.replace('_', '-')} must be finite, "
+                         f"got {getattr(ns, key)}")
+    if not ns.grid_step > 0.0:
+        parser.error(f"--grid-step must be > 0, got {ns.grid_step}")
     kwargs = dict(epsilon=ns.epsilon, lambda_0=ns.wavelength,
                   n_index=ns.n_index, loss_ratio=ns.loss_ratio,
                   gamma_star_ratio=ns.gamma_star_ratio)
@@ -335,11 +342,10 @@ def _cmd_pillar(ns, parser):
                                    grid_step=ns.grid_step, **kwargs)
     header = ("d_um", "Q", "V_um3", "Fp", "f", "Tmax", "Tmin",
               "contrast", "eta", "beta_sq")
-    fields = ("d", "q", "v", "fp", "f", "t_max", "t_min",
-              "contrast", "eta", "beta_sq")
+    columns = ("d", "q", "v", "fp", "f", "t_max", "t_min",
+               "contrast", "eta", "beta_sq")
     with open_out(ns.out) as fh:
-        n = write_csv(fh, header, [[getattr(m, k) for m in res.sweep]
-                                   for k in fields])
+        n = write_csv(fh, header, [getattr(res.sweep, k) for k in columns])
     m = res.merit
     _write_manifest(ns, {
         "command": "pillar",
@@ -351,6 +357,8 @@ def _cmd_pillar(ns, parser):
                     "Q": m.q, "Fp": m.fp, "f": m.f, "V_um3": m.v,
                     "Tmax": m.t_max, "Tmin": m.t_min, "contrast": m.contrast,
                     "eta": m.eta, "beta_sq": m.beta_sq},
+        "diagnostics": {"optimizer": {"grid_points": res.grid_points,
+                                      "golden_probes": res.golden_probes}},
         "rows": n, "versions": _versions()})
     return 0
 

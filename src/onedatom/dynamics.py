@@ -144,7 +144,9 @@ def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
 
     Raises
     ------
-    InvalidInitial, NonPositiveRate, StepCollapse
+    InvalidInitial, NonPositiveRate
+    StepCollapse
+        If the solver fails or a sample of the state is not finite.
     UnsupportedRegime
         If the drive is an array sweep.
     """
@@ -166,6 +168,11 @@ def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
                     rtol=rtol, atol=atol, t_eval=t_eval, max_step=max_step)
     if not sol.success:
         raise StepCollapse(f"integrator failed: {sol.message}")
+    finite = np.isfinite(sol.y).all(axis=0)
+    if not finite.all():
+        # LSODA reports success on a right-hand side that turned NaN.
+        raise StepCollapse("integrator produced a non-finite state at "
+                           f"t={sol.t[np.argmin(finite)]:g}")
     s = sol.y[0] + 1j * sol.y[1]
     s_z = sol.y[2]
     if full_system:
@@ -209,7 +216,7 @@ def settle(drive: DriveField, params: SystemParams, tol=1e-9, *,
     NoConvergence
         If the change is still above ``tol`` at t = 1000/gamma.
     StepCollapse
-        If the solver fails.
+        If the solver fails or the state turns non-finite.
     """
     from scipy.integrate import LSODA
 
@@ -235,6 +242,11 @@ def settle(drive: DriveField, params: SystemParams, tol=1e-9, *,
                 state = BlochState(complex(new[0], new[1]), float(new[2]))
                 return SettleResult(state=state, time=k * window, windows=k,
                                     nfev=solver.nfev)
+            if not math.isfinite(diff):
+                # prev is finite, so the new state is not: LSODA keeps
+                # stepping a NaN state without failing.
+                raise StepCollapse(
+                    f"integrator produced a non-finite state by t={k * window:g}")
             prev = new
             k += 1
     raise NoConvergence(

@@ -9,7 +9,7 @@ amplitudes are in sqrt(photons/s), powers in photons/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -192,6 +192,25 @@ def _show(value, bad):
         return repr(value)
     i = int(np.argmax(np.ravel(bad)))
     return f"{np.ravel(value)[i]!r} at index {i}"
+
+
+class ColumnRecord:
+    """Base of a frozen dataclass that holds a sweep as equal-length columns,
+    one array per field of the row dataclass ``ROW``.
+
+    Indexing and iteration give the rows as ``ROW`` of Python scalars.
+    """
+
+    ROW = None
+
+    def __len__(self):
+        return len(getattr(self, fields(self)[0].name))
+
+    def __getitem__(self, i):
+        return self.ROW(*(getattr(self, f.name)[i].item() for f in fields(self)))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,15 @@ return arrays, so a whole sweep is one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DephasingUnsupported, LeakyNotSupported,
                      OffResonanceUnsupported, UnsupportedRegime)
 from .linear import empty_cavity_t0, t0_prime
-from .model import (BlochState, DriveField, ScatteringOutcome, SystemParams,
-                    outcome_from_amplitudes)
+from .model import (BlochState, ColumnRecord, DriveField, ScatteringOutcome,
+                    SystemParams, outcome_from_amplitudes)
 
 #: Saturation range where the semiclassical factorization is qualitative
 #: only (the incoherent noise power is comparable to the coherent signal).
@@ -222,11 +222,13 @@ class SaturationCurvePoint:
 
 
 @dataclass(frozen=True)
-class SaturationCurve:
+class SaturationCurve(ColumnRecord):
     """A resonant saturation sweep as columns, one array per quantity.
 
     Indexing and iteration give the rows as :class:`SaturationCurvePoint`.
     """
+
+    ROW = SaturationCurvePoint
 
     x: np.ndarray
     x_eff: np.ndarray
@@ -236,16 +238,6 @@ class SaturationCurve:
     p_t_over_p_c: np.ndarray
     p_r_over_p_c: np.ndarray
     caution: np.ndarray
-
-    def __len__(self):
-        return len(self.x)
-
-    def __getitem__(self, i) -> SaturationCurvePoint:
-        return SaturationCurvePoint(*(getattr(self, f.name)[i].item()
-                                      for f in fields(self)))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 def saturation_curve(params: SystemParams, x_grid) -> SaturationCurve:

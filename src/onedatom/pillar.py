@@ -6,18 +6,23 @@ etching-loss formula 1/Q_leak = 2 |E(d)|^2 eps / d is pluggable: the default
 is a power law |E(d)|^2 = (c_E/d)^2 calibrated so that a Q0 = 1000 pillar
 with eps = 0.007 and d = 2.4 um has Q = 960; tabulated profiles can be
 supplied instead.
+
+Every figure of merit comes from one array evaluation over a set of
+diameters: a diameter scan is one call, and a single design
+(:func:`figures_of_merit`, the optimizer's golden-section probes) is the
+same call on a one-element array, so both give the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import NonPositiveRate
+from .errors import NonFiniteInput, NonPositiveRate, UnsupportedRegime
 from .linear import resonance_extrema
-from .model import params_from_ratios
+from .model import ColumnRecord, SystemParams
 
 DEFAULT_EPSILON = 0.007        # etching-quality parameter, um
 DEFAULT_WAVELENGTH = 1.0       # vacuum wavelength, um
@@ -60,12 +65,15 @@ class FieldProfileModel:
         else:
             raise NonPositiveRate(f"unknown field model kind {self.kind!r}")
 
-    def field_sq(self, d) -> float:
+    def field_sq(self, d):
+        """|E(d)|^2 at a diameter, or elementwise over an array of them."""
         if self.kind == "power_law":
-            return min(1.0, (self.c_e / d) ** self.p_exp)
-        ds = [p[0] for p in self.table]
-        es = [p[1] for p in self.table]
-        return float(np.interp(d, ds, es))
+            # float_power is the C library pow, as Python's float ** is;
+            # numpy's ** (a square for p = 2, a vector pow otherwise) can
+            # round the last bit differently.
+            return np.minimum(1.0, np.float_power(self.c_e / d, self.p_exp))
+        ds, es = zip(*self.table)
+        return np.interp(d, ds, es)
 
 
 def default_field_model() -> FieldProfileModel:
@@ -90,6 +98,10 @@ class PillarDesign:
     gamma_star_ratio: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise NonFiniteInput(f"{f.name} must be finite, got {value!r}")
         if self.q0 <= 0.0 or self.d <= 0.0 or self.lambda_0 <= 0.0:
             raise NonPositiveRate("q0, d and lambda_0 must be > 0")
         if self.epsilon < 0.0 or self.gamma_star_ratio < 0.0:
@@ -98,25 +110,6 @@ class PillarDesign:
             raise NonPositiveRate("n_index must be > 1")
         if self.loss_ratio <= 0.0:
             raise NonPositiveRate("loss_ratio must be > 0")
-
-
-def mode_volume(design: PillarDesign) -> float:
-    """Effective mode volume V = (lambda/n) pi d^2 / 8, in um^3."""
-    return (design.lambda_0 / design.n_index) * math.pi * design.d ** 2 / 8.0
-
-
-def q_total(design: PillarDesign, field_model: FieldProfileModel = None) -> float:
-    """Total quality factor 1/Q = 1/Q0 + 2 |E(d)|^2 eps / d."""
-    fm = field_model or default_field_model()
-    return 1.0 / (1.0 / design.q0 + 2.0 * fm.field_sq(design.d)
-                  * design.epsilon / design.d)
-
-
-def purcell_factor(design: PillarDesign, field_model: FieldProfileModel = None) -> float:
-    """Purcell factor F_p = (3 Q / (4 pi^2 V)) (lambda/n)^3."""
-    q = q_total(design, field_model)
-    v = mode_volume(design)
-    return 3.0 * q * (design.lambda_0 / design.n_index) ** 3 / (4.0 * math.pi ** 2 * v)
 
 
 @dataclass(frozen=True)
@@ -136,40 +129,127 @@ class FiguresOfMerit:
     beta_sq: float
 
 
-def figures_of_merit(design: PillarDesign,
-                     field_model: FieldProfileModel = None) -> FiguresOfMerit:
-    """Contrast, quantum efficiency, absorption probability of one design.
+@dataclass(frozen=True)
+class DiameterSweep(ColumnRecord):
+    """Figures of merit of a diameter scan as columns, one array per field
+    of :class:`FiguresOfMerit`.
+
+    Indexing and iteration give the rows as :class:`FiguresOfMerit`.
+    """
+
+    ROW = FiguresOfMerit
+
+    d: np.ndarray
+    q: np.ndarray
+    v: np.ndarray
+    fp: np.ndarray
+    f: np.ndarray
+    q_ratio: np.ndarray
+    t_max: np.ndarray
+    t_min: np.ndarray
+    contrast: np.ndarray
+    eta: np.ndarray
+    beta_sq: np.ndarray
+
+
+def _resonance_extrema(q_ratio, f):
+    """``resonance_extrema(params_from_ratios(1.0, 500.0, q_ratio, f))``,
+    elementwise over arrays.
+
+    Q/Q0 and 1/f make the round trip through gamma_cav and gamma_at that
+    params_from_ratios makes, so every entry keeps that rounding.  The
+    gamma/kappa values are arbitrary: the resonant extrema depend on
+    (Q/Q0, f) only.
+    """
+    kappa = 500.0
+    return resonance_extrema(SystemParams(
+        1.0, kappa, gamma_at=q_ratio / f,
+        gamma_cav=2.0 * kappa * (1.0 / q_ratio - 1.0)))
+
+
+def _sweep(design: PillarDesign, d: np.ndarray,
+           field_model: FieldProfileModel) -> DiameterSweep:
+    """Figures of merit at the diameters ``d`` (a 1-d array, finite and
+    > 0); ``design`` supplies every other parameter.
 
     f follows from the Purcell factor through
     f = F_p / (loss_ratio + 2 gamma_star_ratio); the resonant extrema come
     from the linear module for the induced (Q/Q0, f), so the two modules
     agree exactly.
     """
-    fm = field_model or default_field_model()
-    q = q_total(design, fm)
-    fp = purcell_factor(design, fm)
-    f = fp / (design.loss_ratio + 2.0 * design.gamma_star_ratio)
-    q_ratio = q / design.q0
-    # gamma/kappa values are arbitrary here: the resonant extrema depend on
-    # (Q/Q0, f) only.
-    ext = resonance_extrema(params_from_ratios(1.0, 500.0, q_ratio, f))
-    beta = f / (1.0 + f)
-    return FiguresOfMerit(
-        d=design.d, q=q, v=mode_volume(design), fp=fp, f=f, q_ratio=q_ratio,
-        t_max=ext.t_max, t_min=ext.t_min, contrast=ext.t_max - ext.t_min,
-        eta=beta * q_ratio, beta_sq=beta * beta)
+    # Overflow and 0/0 show up as a non-finite contrast or eta, checked below.
+    with np.errstate(all="ignore"):
+        lam_n = design.lambda_0 / design.n_index
+        # 1/Q = 1/Q0 + 2 |E(d)|^2 eps / d
+        q = 1.0 / (1.0 / design.q0 + 2.0 * field_model.field_sq(d)
+                   * design.epsilon / d)
+        # V = (lambda/n) pi d^2 / 8, F_p = (3 Q / (4 pi^2 V)) (lambda/n)^3
+        v = lam_n * math.pi * np.float_power(d, 2) / 8.0
+        fp = 3.0 * q * lam_n ** 3 / (4.0 * math.pi ** 2 * v)
+        f = fp / (design.loss_ratio + 2.0 * design.gamma_star_ratio)
+        # Q <= Q0; the clip only removes the last-bit excess 1/(1/Q0) can carry.
+        q_ratio = np.minimum(q / design.q0, 1.0)
+        ext = _resonance_extrema(q_ratio, f)
+        beta = f / (1.0 + f)
+        contrast = ext.t_max - ext.t_min
+        eta = beta * q_ratio
+    # Every other column is finite where these two are.
+    finite = np.isfinite(contrast + eta)
+    if not finite.all():
+        raise UnsupportedRegime(
+            "figures of merit leave the float range at "
+            f"d={float(d[np.argmin(finite)])!r}")
+    return DiameterSweep(
+        d=d, q=q, v=v, fp=fp, f=f, q_ratio=q_ratio, t_max=ext.t_max,
+        t_min=ext.t_min, contrast=contrast, eta=eta, beta_sq=beta * beta)
 
 
-OBJECTIVES = ("contrast", "purcell", "efficiency", "beta_sq")
+def figures_of_merit(design: PillarDesign,
+                     field_model: FieldProfileModel = None) -> FiguresOfMerit:
+    """Contrast, quantum efficiency, absorption probability of one design.
 
-_GETTERS = {
-    "contrast": lambda m: m.contrast,
-    "purcell": lambda m: m.fp,
-    "efficiency": lambda m: m.eta,
-    "beta_sq": lambda m: m.beta_sq,
-}
+    The design is evaluated as a one-element diameter scan.
+    """
+    return _sweep(design, np.array([float(design.d)]),
+                  field_model or default_field_model())[0]
+
+
+def mode_volume(design: PillarDesign) -> float:
+    """Effective mode volume V = (lambda/n) pi d^2 / 8, in um^3."""
+    return figures_of_merit(design).v
+
+
+def q_total(design: PillarDesign, field_model: FieldProfileModel = None) -> float:
+    """Total quality factor 1/Q = 1/Q0 + 2 |E(d)|^2 eps / d."""
+    return figures_of_merit(design, field_model).q
+
+
+def purcell_factor(design: PillarDesign, field_model: FieldProfileModel = None) -> float:
+    """Purcell factor F_p = (3 Q / (4 pi^2 V)) (lambda/n)^3."""
+    return figures_of_merit(design, field_model).fp
+
+
+def sweep_diameter(q0, d_grid, field_model=None, **design_kwargs) -> DiameterSweep:
+    """Figures of merit for every diameter of ``d_grid``, in one array call."""
+    d = np.asarray(d_grid, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(d)):
+        raise NonFiniteInput("d_grid must be finite")
+    if not np.all(d > 0.0):
+        raise NonPositiveRate("d_grid must be > 0")
+    # d=1.0 stands in for the grid, checked above: the constructor
+    # validates every other parameter.
+    design = PillarDesign(q0=q0, d=1.0, **design_kwargs)
+    return _sweep(design, d, field_model or default_field_model())
+
+
+#: Column of :class:`DiameterSweep` that each objective maximizes.
+_OBJECTIVE_COLUMN = {"contrast": "contrast", "purcell": "fp",
+                     "efficiency": "eta", "beta_sq": "beta_sq"}
+OBJECTIVES = tuple(_OBJECTIVE_COLUMN)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Largest coarse scan of optimize_diameter (50 mm of diameters at 0.05 um).
+MAX_GRID_CELLS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -178,45 +258,55 @@ class OptimizeResult:
     value: float
     objective: str
     merit: FiguresOfMerit
-    sweep: list
+    sweep: DiameterSweep
     at_boundary: bool
-
-
-def sweep_diameter(q0, d_grid, field_model=None, **design_kwargs):
-    """Figures of merit for every diameter of ``d_grid``."""
-    fm = field_model or default_field_model()
-    return [figures_of_merit(PillarDesign(q0=q0, d=float(d), **design_kwargs), fm)
-            for d in d_grid]
+    #: Diameters of the coarse scan.
+    grid_points: int
+    #: Single-design evaluations of the golden-section refinement.
+    golden_probes: int
 
 
 def optimize_diameter(q0, objective="contrast", d_range=(0.5, 8.0),
                       field_model=None, grid_step=0.02, **design_kwargs) -> OptimizeResult:
     """Maximize one figure of merit over the pillar diameter.
 
-    Coarse grid scan (step <= 0.05 um) followed by golden-section
-    refinement between the neighbours of the best grid point.  A maximum on
-    the range boundary is reported through ``at_boundary`` (objective
-    monotone over the range), not raised.
+    Coarse grid scan (step <= 0.05 um, at most MAX_GRID_CELLS steps, one
+    array call) followed by golden-section refinement between the
+    neighbours of the best grid point.  A maximum on the range boundary is
+    reported through ``at_boundary`` (objective monotone over the range),
+    not raised.
     """
-    if objective not in _GETTERS:
+    if objective not in _OBJECTIVE_COLUMN:
         raise NonPositiveRate(
             f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    key = _OBJECTIVE_COLUMN[objective]
     lo, hi = float(d_range[0]), float(d_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NonFiniteInput(f"d_range must be finite, got {d_range!r}")
     if not 0.0 < lo < hi:
         raise NonPositiveRate(f"invalid d_range {d_range!r}")
-    step = min(float(grid_step), 0.05)
+    step = float(grid_step)
+    if not math.isfinite(step):
+        raise NonFiniteInput(f"grid_step must be finite, got {grid_step!r}")
+    if not step > 0.0:
+        raise NonPositiveRate(f"grid_step must be > 0, got {grid_step!r}")
+    cells = (hi - lo) / min(step, 0.05)
+    if not cells <= MAX_GRID_CELLS:
+        raise UnsupportedRegime(
+            f"d_range {d_range!r} needs more than {MAX_GRID_CELLS} grid steps")
     fm = field_model or default_field_model()
-    n = max(2, int(math.ceil((hi - lo) / step)) + 1)
+    n = max(2, int(math.ceil(cells)) + 1)
     grid = np.linspace(lo, hi, n)
-    getter = _GETTERS[objective]
-    sweep = sweep_diameter(q0, grid, fm, **design_kwargs)
-    values = [getter(m) for m in sweep]
-    i_best = int(np.argmax(values))
+    design = PillarDesign(q0=q0, d=lo, **design_kwargs)
+    sweep = _sweep(design, grid, fm)
+    i_best = int(np.argmax(getattr(sweep, key)))
     at_boundary = i_best in (0, len(grid) - 1)
+    probes = 0
 
     def value_at(d):
-        return getter(figures_of_merit(
-            PillarDesign(q0=q0, d=float(d), **design_kwargs), fm))
+        nonlocal probes
+        probes += 1
+        return getattr(_sweep(design, np.array([d]), fm), key)[0]
 
     if at_boundary:
         d_opt = float(grid[i_best])
@@ -236,5 +326,7 @@ def optimize_diameter(q0, objective="contrast", d_range=(0.5, 8.0),
                 fd = value_at(d)
         d_opt = 0.5 * (a + b)
     merit = figures_of_merit(PillarDesign(q0=q0, d=d_opt, **design_kwargs), fm)
-    return OptimizeResult(d_opt=d_opt, value=getter(merit), objective=objective,
-                          merit=merit, sweep=sweep, at_boundary=at_boundary)
+    return OptimizeResult(d_opt=d_opt, value=getattr(merit, key),
+                          objective=objective, merit=merit, sweep=sweep,
+                          at_boundary=at_boundary, grid_points=n,
+                          golden_probes=probes)

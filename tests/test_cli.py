@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from onedatom import (DriveField, cli, make_params, scatter_steady,
+from onedatom import (DriveField, cli, make_params, pillar, scatter_steady,
                       transmission_leaky)
 from onedatom.cli import parse_grid, run
 
@@ -431,3 +431,57 @@ def test_bistability_rejects_empty_fraction_list(tmp_path, capsys):
                 "log:-3:4:11", "--out", str(out)]) == 2
     assert "--fraction-a-list" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--grid-step", "0"), ("--grid-step", "-1"), ("--grid-step", "nan"),
+    ("--n-index", "inf"), ("--d-max", "inf"), ("--q0", "nan"),
+    ("--epsilon", "nan"), ("--wavelength", "nan"),
+    ("--gamma-star-ratio", "nan"), ("--loss-ratio", "inf"),
+])
+def test_pillar_bad_inputs_are_usage_errors(tmp_path, capsys, flag, value):
+    out = tmp_path / "p.csv"
+    argv = ["pillar", "--q0", "1000", "--objective", "contrast", flag, value,
+            "--out", str(out)]
+    assert run(argv) == 2
+    assert f"{flag} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    # d^2 underflows, so V = 0 and F_p = inf (was NaN rows and exit 0).
+    (["--d-min", "1e-200", "--d-max", "1e-199"], "float range at d=1e-200"),
+    # 1e308 grid steps (was an OverflowError traceback).
+    (["--d-max", "1e300", "--grid-step", "1e-300"], "grid steps"),
+])
+def test_pillar_scans_out_of_range_are_domain_errors(tmp_path, capsys, extra,
+                                                     message):
+    out = tmp_path / "p.csv"
+    assert run(["pillar", "--q0", "1000", *extra, "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pillar_csv_is_the_single_design_rows(tmp_path):
+    out = tmp_path / "p.csv"
+    assert run(["pillar", "--q0", "1000", "--objective", "contrast",
+                "--loss-ratio", "0.3", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == 376
+    for line in lines:
+        d = float(line.split(",")[0])
+        m = pillar.figures_of_merit(
+            pillar.PillarDesign(q0=1000.0, d=d, loss_ratio=0.3))
+        assert line == ",".join("%.17g" % v for v in (
+            m.d, m.q, m.v, m.fp, m.f, m.t_max, m.t_min, m.contrast, m.eta,
+            m.beta_sq))
+
+
+def test_pillar_manifest_reports_the_optimizer_counts(tmp_path):
+    out = tmp_path / "pillar_sweep.csv"
+    assert run(["pillar", "--q0", "1000", "--objective", "contrast",
+                "--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    assert manifest["diagnostics"] == {
+        "optimizer": {"grid_points": 376, "golden_probes": 29}}
+    assert manifest["rows"] == 376

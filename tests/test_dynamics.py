@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from onedatom import (BlochState, DriveField, InvalidInitial, NoConvergence,
-                      NonPositiveRate, UnsupportedRegime, critical_power,
+                      NonPositiveRate, StepCollapse, UnsupportedRegime,
+                      critical_power,
                       make_params,
                       output_amplitudes, params_from_ratios,
                       scatter_nonlinear, steady_state, transmission_leaky)
@@ -234,3 +235,34 @@ def test_csv_export_columns_are_the_trajectory_arrays():
                                 traj.s_z, traj.b_t.real, traj.b_t.imag,
                                 traj.b_r.real, traj.b_r.imag])
     assert np.array_equal(rows, expected)
+
+
+def _nan_after(monkeypatch, factory_name, t_nan):
+    """Make the named right-hand-side factory return NaN after t_nan."""
+    factory = getattr(dynamics, factory_name)
+
+    def nan_factory(*args):
+        rhs = factory(*args)
+        return lambda t, y: (math.nan,) * len(y) if t > t_nan else rhs(t, y)
+
+    monkeypatch.setattr(dynamics, factory_name, nan_factory)
+
+
+@pytest.mark.parametrize("factory_name, full_system",
+                         [("_eliminated_rhs", False), ("_full_rhs", True)])
+def test_integrate_raises_on_a_non_finite_state(monkeypatch, factory_name,
+                                                full_system):
+    _nan_after(monkeypatch, factory_name, 1.0)
+    drive = DriveField.from_power(0.0, 0.25)
+    with pytest.raises(StepCollapse, match="non-finite"):
+        integrate(drive, IDEAL, BlochState.ground(), 10.0, samples=11,
+                  full_system=full_system)
+
+
+def test_settle_raises_at_the_first_non_finite_window(monkeypatch):
+    # The first window boundary after the NaN is t = 5/gamma; without the
+    # check settle would run to 1000/gamma and raise NoConvergence.
+    _nan_after(monkeypatch, "_eliminated_rhs", 1.0)
+    drive = DriveField.from_power(0.0, 0.25)
+    with pytest.raises(StepCollapse, match=r"non-finite state by t=5\b"):
+        settle(drive, IDEAL, 1e-9)
