@@ -282,6 +282,10 @@ def _cmd_dynamics(ns, parser):
             or not samples >= 2 or not float(samples).is_integer()):
         parser.error(f"--samples must be an integer >= 2, got {samples!r}")
     samples = int(samples)
+    try:
+        dynamics.check_tolerances(ns.rtol, ns.atol)
+    except DomainError as exc:     # the message starts with rtol or atol
+        parser.error(f"--{exc}")
     duration = ns.duration if ns.duration is not None else 20.0 / params.gamma
     initial = BlochState(complex(ns.initial_re_s, ns.initial_im_s),
                          ns.initial_s_z)
@@ -513,8 +517,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--duration", type=float, help="integration time (default 20/gamma)")
     sp.add_argument("--samples", type=float,
                     help="number of output samples, an integer >= 2 (default 1001)")
-    sp.add_argument("--rtol", type=float)
-    sp.add_argument("--atol", type=float)
+    sp.add_argument("--rtol", type=float,
+                    help="LSODA relative tolerance, >= 2.2e-14 (default 1e-10)")
+    sp.add_argument("--atol", type=float,
+                    help="LSODA absolute tolerance, > 0 (default 1e-12)")
     sp.add_argument("--initial-re-s", type=float)
     sp.add_argument("--initial-im-s", type=float)
     sp.add_argument("--initial-s-z", type=float)

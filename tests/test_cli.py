@@ -485,3 +485,14 @@ def test_pillar_manifest_reports_the_optimizer_counts(tmp_path):
     assert manifest["diagnostics"] == {
         "optimizer": {"grid_points": 376, "golden_probes": 29}}
     assert manifest["rows"] == 376
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rtol", "-1"), ("--rtol", "0"), ("--rtol", "1e-20"), ("--rtol", "nan"),
+    ("--atol", "0")])
+def test_dynamics_rejects_bad_tolerances(tmp_path, capsys, flag, value):
+    out = tmp_path / "traj.csv"
+    assert run(["dynamics", "--x", "1", "--samples", "5", "--settle",
+                flag, value, "--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()

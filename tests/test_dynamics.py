@@ -1,17 +1,21 @@
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from onedatom import (BlochState, DriveField, InvalidInitial, NoConvergence,
-                      NonPositiveRate, StepCollapse, UnsupportedRegime,
-                      critical_power,
+from onedatom import (BlochState, DomainError, DriveField, InvalidInitial,
+                      NoConvergence, NonFiniteInput, NonPositiveRate,
+                      StepCollapse, UnsupportedRegime, critical_power,
                       make_params,
                       output_amplitudes, params_from_ratios,
                       scatter_nonlinear, steady_state, transmission_leaky)
 from onedatom import dynamics
+from onedatom.linear import t0_prime
 from onedatom.dynamics import (TRAJECTORY_COLUMNS, SettleResult, Trajectory,
                                integrate, settle)
 
@@ -266,3 +270,171 @@ def test_settle_raises_at_the_first_non_finite_window(monkeypatch):
     drive = DriveField.from_power(0.0, 0.25)
     with pytest.raises(StepCollapse, match=r"non-finite state by t=5\b"):
         settle(drive, IDEAL, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The float right-hand sides against the paper's complex-form equations
+
+def _eliminated_rhs_reference(drive, params):
+    t0p = t0_prime(drive.delta_omega, params)
+    q = params.q_ratio
+    c_damp = (0.5 * params.gamma * q * t0p
+              + 0.5 * params.gamma_at + params.gamma_star)
+    c_drive = math.sqrt(0.5 * params.gamma) * q * drive.b_in * t0p
+    relax_z = params.gamma * q * t0p.real + params.gamma_at
+    i_dw = 1j * drive.delta_omega
+
+    def rhs(t, y):
+        s = complex(y[0], y[1])
+        ds = -(i_dw + c_damp) * s - 2.0 * y[2] * (1j * c_drive)
+        dsz = (-relax_z * (y[2] + 0.5)
+               + 2.0 * (1j * s.conjugate() * c_drive).real)
+        return (ds.real, ds.imag, dsz)
+
+    return rhs
+
+
+def _full_rhs_reference(drive, params):
+    omega_c = math.sqrt(0.5 * params.gamma * params.kappa)
+    decay_a = (1j * (drive.delta_omega + params.delta)
+               + params.kappa + 0.5 * params.gamma_cav)
+    pump_a = 1j * math.sqrt(params.kappa) * drive.b_in
+    decay_s = 1j * drive.delta_omega + 0.5 * params.gamma_at + params.gamma_star
+    gamma_at = params.gamma_at
+
+    def rhs(t, y):
+        s = complex(y[0], y[1])
+        a = complex(y[3], y[4])
+        ds = -decay_s * s - 2.0 * omega_c * y[2] * a
+        dsz = (-gamma_at * (y[2] + 0.5)
+               + 2.0 * omega_c * (s.conjugate() * a).real)
+        da = -decay_a * a - omega_c * s + pump_a
+        return (ds.real, ds.imag, dsz, da.real, da.imag)
+
+    return rhs
+
+
+@st.composite
+def driven_systems(draw):
+    """A leaky, dephased, detuned device (gamma = 1) and a scalar drive."""
+    kappa = draw(st.floats(2.0, 1e4))
+    q = draw(st.floats(0.05, 1.0))
+    f = draw(st.one_of(st.just(math.inf), st.floats(0.05, 1e4)))
+    delta = draw(st.floats(-1e3, 1e3))
+    params = dataclasses.replace(
+        params_from_ratios(1.0, kappa, q_ratio=q, f=f, delta=delta),
+        gamma_star=draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0))))
+    drive = DriveField.from_power(draw(st.floats(-30.0, 30.0)),
+                                  draw(st.floats(0.0, 1e3)))
+    return drive, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=driven_systems(), full_system=st.booleans(),
+       dipole=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+       cavity=st.tuples(*[st.floats(-10.0, 10.0)] * 2))
+def test_float_rhs_matches_complex_form(system, full_system, dipole, cavity):
+    drive, params = system
+    if full_system:
+        y = np.array(dipole + cavity)
+        rhs = dynamics._full_rhs(drive, params)
+        ref = _full_rhs_reference(drive, params)
+    else:
+        y = np.array(dipole)
+        rhs = dynamics._eliminated_rhs(drive, params)
+        ref = _eliminated_rhs_reference(drive, params)
+    got, want = np.array(rhs(0.0, y)), np.array(ref(0.0, y))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=driven_systems())
+def test_eliminated_trajectories_stay_in_the_bloch_ball(system):
+    drive, params = system
+    traj = integrate(drive, params, BlochState.ground(), 20.0, samples=201)
+    assert np.max(np.abs(traj.s) ** 2 + traj.s_z ** 2) <= 0.25 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The LSODA driver
+
+@pytest.mark.parametrize("factory_name, full_system",
+                         [("_eliminated_rhs", False), ("_full_rhs", True)])
+def test_nfev_counts_every_rhs_call(monkeypatch, factory_name, full_system):
+    calls = []
+    factory = getattr(dynamics, factory_name)
+
+    def spy_factory(*args):
+        rhs = factory(*args)
+
+        def spy(t, y):
+            calls.append(t)
+            return rhs(t, y)
+
+        return spy
+
+    monkeypatch.setattr(dynamics, factory_name, spy_factory)
+    drive = DriveField.from_power(0.3, 2.0)
+    traj = integrate(drive, IDEAL, BlochState.ground(), 10.0, samples=11,
+                     full_system=full_system)
+    assert traj.nfev == len(calls) > 0
+    calls.clear()
+    res = settle(drive, IDEAL, 1e-9, full_system=full_system)
+    assert res.nfev == len(calls) > 0
+
+
+def test_integrate_takes_thousands_of_steps_between_two_samples():
+    # Strongly driven and detuned, 20/gamma takes LSODA far more than the
+    # 500 steps per call that scipy allows by default.
+    p = make_params(1.0, 500.0, delta=150.0)
+    drive = DriveField.from_power(2.7, 50.0 * critical_power(2.7, p))
+    two = integrate(drive, p, BlochState.ground(), 20.0, samples=2)
+    dense = integrate(drive, p, BlochState.ground(), 20.0, samples=1001)
+    assert two.times.tolist() == [0.0, 20.0]
+    assert abs(two.final_state.s - dense.final_state.s) < 1e-8
+    assert abs(two.final_state.s_z - dense.final_state.s_z) < 1e-8
+
+
+def test_explicit_sample_times():
+    drive = DriveField.from_power(0.3, 0.1)
+    init = BlochState(0.1j, -0.4)
+    traj = integrate(drive, IDEAL, init, 4.0, samples=[0.0, 1.5, 4.0])
+    assert traj.times.tolist() == [0.0, 1.5, 4.0]
+    assert traj.state_at(0) == init
+    later = integrate(drive, IDEAL, init, 4.0, samples=[1.5, 4.0])
+    assert abs(later.final_state.s - traj.final_state.s) < 1e-10
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 1.0], [0.0, 10.5],
+    [0.0, math.nan], [0.0, math.inf], [], [[0.0, 1.0]]])
+def test_integrate_rejects_bad_sample_times(times):
+    with pytest.raises(DomainError, match="samples"):
+        integrate(NO_DRIVE, IDEAL, BlochState.ground(), 10.0, samples=times)
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    (dict(rtol=math.nan), NonFiniteInput),
+    (dict(rtol=math.inf), NonFiniteInput),
+    (dict(atol=math.nan), NonFiniteInput),
+    (dict(rtol=-1.0), NonPositiveRate),
+    (dict(rtol=0.0), NonPositiveRate),
+    (dict(rtol=1e-20), NonPositiveRate),
+    (dict(atol=0.0), NonPositiveRate),
+    (dict(atol=-1e-12), NonPositiveRate),
+])
+def test_integrate_and_settle_reject_bad_tolerances(kwargs, error):
+    (name,) = kwargs
+    drive = DriveField.from_power(0.0, 0.25)
+    with pytest.raises(error, match=name):
+        integrate(drive, IDEAL, BlochState.ground(), 1.0, samples=3, **kwargs)
+    with pytest.raises(error, match=name):
+        settle(drive, IDEAL, **kwargs)
+
+
+def test_smallest_relative_tolerance_is_accepted():
+    drive = DriveField.from_power(0.0, 0.25)
+    traj = integrate(drive, IDEAL, BlochState.ground(), 1.0, samples=3,
+                     rtol=dynamics.RTOL_MIN)
+    assert np.isfinite(traj.s_z).all()
