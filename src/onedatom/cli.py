@@ -8,6 +8,12 @@ versions).  The manifest is written next to --out as
 stderr.  Every option can also be supplied through ``--config file.json``
 (keys mirror the flag names); explicit flags win over the config file.
 
+Each subcommand is one row of ``_COMMANDS``: its help line, the function
+that adds its options and its handler.  A call builds the options of the
+subcommand it names only, and the handler imports the compute modules it
+runs, so a call loads neither the integrator nor scipy unless it is
+``dynamics``; only that manifest names scipy's version.
+
 Rates are in the caller's angular-frequency unit with kappa defaulting
 to 1, so detunings and rates passed on the command line are effectively in
 units of kappa.
@@ -22,14 +28,10 @@ import re
 import sys
 
 import numpy as np
-import scipy
 
-from . import __version__, applications, dynamics, nonlinear, pillar
+from . import __version__
 from .csvio import open_out, write_csv
 from .errors import DomainError
-from .linear import transmission_leaky
-from .model import BlochState, DriveField, make_params
-from .nonlinear import scatter_steady
 
 
 def parse_grid(text: str) -> np.ndarray:
@@ -70,6 +72,28 @@ def _parse_list(spec: str) -> list[float]:
     return [float(tok) for tok in spec.split(",") if tok.strip()]
 
 
+def _check_finite(parser, ns, keys, positive=False):
+    """Usage error naming the first set option of ``keys`` that is not
+    finite (or, with ``positive``, not finite and > 0)."""
+    for key in keys:
+        value = getattr(ns, key)
+        if value is not None and not (math.isfinite(value)
+                                      and (value > 0.0 or not positive)):
+            parser.error(f"--{key.replace('_', '-')} must be finite"
+                         f"{' and > 0' if positive else ''}, got {value}")
+
+
+def _count_option(parser, ns, key, least, most=None):
+    """The option ``key`` as an int; it must be an integer in [least, most]."""
+    value = getattr(ns, key)
+    if not (value >= least and float(value).is_integer()
+            and (most is None or value <= most)):
+        bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+        parser.error(f"--{key.replace('_', '-')} must be an integer {bound}, "
+                     f"got {value!r}")
+    return int(value)
+
+
 def _json_safe(v):
     if isinstance(v, float) and not math.isfinite(v):
         return str(v)
@@ -106,8 +130,7 @@ def _params_view(params):
 def _versions():
     return {"artifact": __version__,
             "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "scipy": scipy.__version__}
+            "numpy": np.__version__}
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +207,8 @@ def _apply_config(ns, parser, defaults):
 
 
 def _build_params(ns, parser, *, force_ideal=False):
+    from .model import make_params
+    _check_finite(parser, ns, ("kappa",), positive=True)
     kappa = ns.kappa
     gamma = ns.gamma if ns.gamma is not None else ns.gamma_over_kappa * kappa
     if force_ideal:
@@ -211,9 +236,21 @@ def _build_params(ns, parser, *, force_ideal=False):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: the options of each, then its handler
+
+def _spectrum_options(sp):
+    _add_system_options(sp)
+    sp.add_argument("--grid", help="(dw+delta)/kappa grid, a:b:n (default -2:2:2001)")
+    sp.add_argument("--x", type=float,
+                    help="resonant saturation parameter (0 = linear spectrum)")
+    sp.add_argument("--evanescent", action="store_true", default=None,
+                    help="swap t and r (waveguide-coupled geometry)")
+
 
 def _cmd_spectrum(ns, parser):
+    from .linear import transmission_leaky
+    from .model import DriveField
+    from .nonlinear import scatter_steady
     _apply_config(ns, parser, dict(_SYSTEM_DEFAULTS, grid="-2:2:2001", x=0.0,
                                    evanescent=False))
     nu = _grid_option(parser, "--grid", ns.grid)
@@ -245,7 +282,15 @@ def _cmd_spectrum(ns, parser):
     return 0
 
 
+def _saturation_options(sp):
+    _add_system_options(sp)
+    sp.add_argument("--x-grid", help="saturation grid (default log:-3:4:701)")
+    sp.add_argument("--ideal", action="store_true", default=None,
+                    help="force the lossless dephasing-free system")
+
+
 def _cmd_saturation(ns, parser):
+    from . import nonlinear
     _apply_config(ns, parser, dict(_SYSTEM_DEFAULTS, x_grid="log:-3:4:701",
                                    ideal=False))
     grid = _grid_option(parser, "--x-grid", ns.x_grid)
@@ -264,7 +309,31 @@ def _cmd_saturation(ns, parser):
     return 0
 
 
+def _dynamics_options(sp):
+    _add_system_options(sp)
+    sp.add_argument("--x", type=float, help="resonant saturation parameter of the drive")
+    sp.add_argument("--power", type=float, help="drive power (photons/s)")
+    sp.add_argument("--delta-omega", type=float, help="emitter-drive detuning")
+    sp.add_argument("--duration", type=float, help="integration time (default 20/gamma)")
+    sp.add_argument("--samples", type=float,
+                    help="number of output samples, an integer >= 2 (default 1001)")
+    sp.add_argument("--rtol", type=float,
+                    help="LSODA relative tolerance, >= 2.2e-14 (default 1e-10)")
+    sp.add_argument("--atol", type=float,
+                    help="LSODA absolute tolerance, > 0 (default 1e-12)")
+    sp.add_argument("--initial-re-s", type=float)
+    sp.add_argument("--initial-im-s", type=float)
+    sp.add_argument("--initial-s-z", type=float)
+    sp.add_argument("--full-system", action="store_true", default=None,
+                    help="keep the cavity amplitude dynamical")
+    sp.add_argument("--settle", action="store_true", default=None,
+                    help="relax to steady state; report it in the manifest")
+    sp.add_argument("--settle-tol", type=float)
+
+
 def _cmd_dynamics(ns, parser):
+    from . import dynamics
+    from .model import BlochState, DriveField
     _apply_config(ns, parser, dict(
         _SYSTEM_DEFAULTS, x=None, power=None, delta_omega=0.0, duration=None,
         samples=1001, rtol=1e-10, atol=1e-12, initial_re_s=0.0,
@@ -276,12 +345,11 @@ def _cmd_dynamics(ns, parser):
     p_in = ns.power if ns.power is not None else 0.25 * (ns.x or 0.0) * params.gamma
     if not (math.isfinite(p_in) and p_in >= 0.0):
         parser.error(f"--x/--power must give a finite drive power >= 0, got {p_in}")
+    _check_finite(parser, ns, ("delta_omega", "initial_re_s", "initial_im_s",
+                               "initial_s_z"))
+    _check_finite(parser, ns, ("duration", "settle_tol"), positive=True)
     drive = DriveField.from_power(ns.delta_omega, p_in)
-    samples = ns.samples
-    if (isinstance(samples, bool) or not isinstance(samples, (int, float))
-            or not samples >= 2 or not float(samples).is_integer()):
-        parser.error(f"--samples must be an integer >= 2, got {samples!r}")
-    samples = int(samples)
+    samples = _count_option(parser, ns, "samples", 2, 10 ** 7)
     try:
         dynamics.check_tolerances(ns.rtol, ns.atol)
     except DomainError as exc:     # the message starts with rtol or atol
@@ -289,6 +357,9 @@ def _cmd_dynamics(ns, parser):
     duration = ns.duration if ns.duration is not None else 20.0 / params.gamma
     initial = BlochState(complex(ns.initial_re_s, ns.initial_im_s),
                          ns.initial_s_z)
+    if not initial.is_physical():
+        parser.error("--initial-re-s/--initial-im-s/--initial-s-z must give "
+                     f"|s_z| <= 1/2 and |s|^2 <= 1/4, got {initial}")
     results = {}
     nfev = settle_windows = 0
     if ns.settle:
@@ -308,6 +379,7 @@ def _cmd_dynamics(ns, parser):
         n = traj.write_csv(fh)
     results["final"] = {"re_s": traj.s[-1].real, "im_s": traj.s[-1].imag,
                         "s_z": float(traj.s_z[-1])}
+    import scipy                   # loaded by the LSODA driver
     _write_manifest(ns, {
         "command": "dynamics",
         "options": {"delta_omega": ns.delta_omega, "p_in": p_in,
@@ -318,11 +390,25 @@ def _cmd_dynamics(ns, parser):
         "diagnostics": {"solver": {"method": "LSODA",
                                    "nfev": nfev + traj.nfev,
                                    "settle_windows": settle_windows}},
-        "rows": n, "versions": _versions()})
+        "rows": n, "versions": dict(_versions(), scipy=scipy.__version__)})
     return 0
 
 
+def _pillar_options(sp):
+    sp.add_argument("--q0", type=float, help="intrinsic quality factor")
+    sp.add_argument("--objective", help="contrast | purcell | efficiency | beta_sq")
+    sp.add_argument("--d-min", type=float)
+    sp.add_argument("--d-max", type=float)
+    sp.add_argument("--grid-step", type=float, help="coarse sweep step, um")
+    sp.add_argument("--epsilon", type=float, help="etching-quality parameter")
+    sp.add_argument("--wavelength", type=float, help="vacuum wavelength, um")
+    sp.add_argument("--n-index", type=float)
+    sp.add_argument("--loss-ratio", type=float, help="gamma_at/gamma_free")
+    sp.add_argument("--gamma-star-ratio", type=float)
+
+
 def _cmd_pillar(ns, parser):
+    from . import pillar
     _apply_config(ns, parser, dict(
         objective="contrast", d_min=0.5, d_max=8.0, grid_step=0.02,
         epsilon=pillar.DEFAULT_EPSILON, wavelength=pillar.DEFAULT_WAVELENGTH,
@@ -331,13 +417,9 @@ def _cmd_pillar(ns, parser):
         parser.error("--q0 is required")
     if ns.objective not in pillar.OBJECTIVES:
         parser.error(f"--objective must be one of {pillar.OBJECTIVES}")
-    for key in ("q0", "d_min", "d_max", "grid_step", "epsilon", "wavelength",
-                "n_index", "loss_ratio", "gamma_star_ratio"):
-        if not math.isfinite(getattr(ns, key)):
-            parser.error(f"--{key.replace('_', '-')} must be finite, "
-                         f"got {getattr(ns, key)}")
-    if not ns.grid_step > 0.0:
-        parser.error(f"--grid-step must be > 0, got {ns.grid_step}")
+    _check_finite(parser, ns, ("q0", "d_min", "d_max", "epsilon", "wavelength",
+                               "n_index", "loss_ratio", "gamma_star_ratio"))
+    _check_finite(parser, ns, ("grid_step",), positive=True)
     kwargs = dict(epsilon=ns.epsilon, lambda_0=ns.wavelength,
                   n_index=ns.n_index, loss_ratio=ns.loss_ratio,
                   gamma_star_ratio=ns.gamma_star_ratio)
@@ -367,7 +449,16 @@ def _cmd_pillar(ns, parser):
     return 0
 
 
+def _slowlight_options(sp):
+    sp.add_argument("--f-list", help="comma-separated f values (default 5,10,100)")
+    sp.add_argument("--gamma-over-kappa", type=float)
+    sp.add_argument("--kappa", type=float)
+    sp.add_argument("--n-stages", type=float)
+
+
 def _cmd_slowlight(ns, parser):
+    from . import applications
+    from .model import make_params
     _apply_config(ns, parser, dict(f_list="5,10,100", gamma_over_kappa=0.002,
                                    kappa=1.0, n_stages=1))
     try:
@@ -377,6 +468,7 @@ def _cmd_slowlight(ns, parser):
     if not fs or not all(f > 0.0 for f in fs):
         parser.error("--f-list must be comma-separated numbers > 0 "
                      f"(inf allowed), got {ns.f_list!r}")
+    n_stages = _count_option(parser, ns, "n_stages", 1)
     gamma = ns.gamma_over_kappa * ns.kappa
     header = ("f", "beta", "delay_analytic", "delay_numeric",
               "t_per_stage", "n_half", "total_delay_at_n_half")
@@ -384,7 +476,7 @@ def _cmd_slowlight(ns, parser):
     for f in fs:
         params = make_params(gamma, ns.kappa,
                              gamma_at=0.0 if math.isinf(f) else gamma / f)
-        r = applications.slow_light(params, n_stages=int(ns.n_stages))
+        r = applications.slow_light(params, n_stages=n_stages)
         rows.append((r.f, r.beta, r.delay_analytic, r.delay_numeric,
                      r.t_per_stage, r.n_half, r.total_delay_at_n_half))
     with open_out(ns.out) as fh:
@@ -392,12 +484,19 @@ def _cmd_slowlight(ns, parser):
     _write_manifest(ns, {
         "command": "slowlight",
         "options": {"f_list": ns.f_list, "gamma": gamma, "kappa": ns.kappa,
-                    "n_stages": int(ns.n_stages)},
+                    "n_stages": n_stages},
         "rows": n, "versions": _versions()})
     return 0
 
 
+def _bistability_options(sp):
+    _add_system_options(sp)
+    sp.add_argument("--fraction-a-list", help="feedback fractions (default 0.1,0.5,0.9,0.99)")
+    sp.add_argument("--x-grid", help="default log:-3:4:7001")
+
+
 def _cmd_bistability(ns, parser):
+    from . import applications
     _apply_config(ns, parser, dict(
         _SYSTEM_DEFAULTS, fraction_a_list="0.1,0.5,0.9,0.99",
         x_grid="log:-3:4:7001"))
@@ -428,7 +527,14 @@ def _cmd_bistability(ns, parser):
     return 0
 
 
+def _reshape_options(sp):
+    _add_system_options(sp)
+    sp.add_argument("--extinction", type=float, help="input extinction ratio")
+    sp.add_argument("--x-grid", help="default log:-3:2:501")
+
+
 def _cmd_reshape(ns, parser):
+    from . import applications
     _apply_config(ns, parser, dict(_SYSTEM_DEFAULTS, extinction=100.0,
                                    x_grid="log:-3:2:501"))
     grid = _grid_option(parser, "--x-grid", ns.x_grid)
@@ -450,10 +556,25 @@ def _cmd_reshape(ns, parser):
     return 0
 
 
+def _kerr_options(sp):
+    sp.add_argument("--wavelength-um", type=float)
+    sp.add_argument("--n2-cm2-per-w", type=float)
+    sp.add_argument("--intensity-w-per-cm2", type=float)
+    sp.add_argument("--sigma-cm2", type=float, help="focus area")
+    sp.add_argument("--jump-factor", type=float)
+    sp.add_argument("--pc-watts", type=float, help="critical power in watts")
+    sp.add_argument("--gamma-per-s", type=float,
+                    help="emission rate used to derive P_c (default 1e10)")
+
+
 def _cmd_kerr(ns, parser):
+    from . import applications
     _apply_config(ns, parser, dict(
         wavelength_um=1.0, n2_cm2_per_w=1e-13, intensity_w_per_cm2=1.0,
         sigma_cm2=1e-8, jump_factor=10.0, pc_watts=None, gamma_per_s=1e10))
+    _check_finite(parser, ns, ("wavelength_um", "n2_cm2_per_w",
+                               "intensity_w_per_cm2", "sigma_cm2", "jump_factor",
+                               "pc_watts", "gamma_per_s"), positive=True)
     length_m = applications.kerr_equivalent(
         ns.wavelength_um, ns.n2_cm2_per_w, ns.intensity_w_per_cm2)
     p_c = ns.pc_watts if ns.pc_watts is not None else \
@@ -479,124 +600,53 @@ def _cmd_kerr(ns, parser):
 
 # ---------------------------------------------------------------------------
 
+#: Subcommand name -> (help line, option adder, handler).
+_COMMANDS = {
+    "spectrum": ("linear or saturated transmission spectrum", _spectrum_options,
+                 _cmd_spectrum),
+    "saturation": ("resonant transmission vs drive power", _saturation_options,
+                   _cmd_saturation),
+    "dynamics": ("time-domain Bloch trajectory", _dynamics_options, _cmd_dynamics),
+    "pillar": ("micropillar diameter optimization", _pillar_options, _cmd_pillar),
+    "slowlight": ("group delay of the atom chain", _slowlight_options,
+                  _cmd_slowlight),
+    "bistability": ("feedback-loop slope scan", _bistability_options,
+                    _cmd_bistability),
+    "reshape": ("pulse contrast enhancement", _reshape_options, _cmd_reshape),
+    "kerr": ("equivalent Kerr-medium comparison", _kerr_options, _cmd_kerr),
+}
+
 # Treat tokens like "-2:2:2001" or "-0.5" as values, not option strings.
 _NEGATIVE_VALUE = re.compile(r"^-\d[\d.:eE,+-]*$")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for the arguments ``argv``: all eight subcommands are
+    registered, but only the first one named in ``argv`` gets its options."""
     parser = argparse.ArgumentParser(
         prog="onedatom",
         description="One-dimensional-atom spectra, saturation curves, "
                     "dynamics, pillar design and application calculators.")
     parser._negative_number_matcher = _NEGATIVE_VALUE
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("spectrum", help="linear or saturated transmission spectrum")
-    _add_system_options(sp)
-    sp.add_argument("--grid", help="(dw+delta)/kappa grid, a:b:n (default -2:2:2001)")
-    sp.add_argument("--x", type=float,
-                    help="resonant saturation parameter (0 = linear spectrum)")
-    sp.add_argument("--evanescent", action="store_true", default=None,
-                    help="swap t and r (waveguide-coupled geometry)")
-    _add_common_options(sp)
-    sp.set_defaults(func=_cmd_spectrum)
-
-    sp = subs.add_parser("saturation", help="resonant transmission vs drive power")
-    _add_system_options(sp)
-    sp.add_argument("--x-grid", help="saturation grid (default log:-3:4:701)")
-    sp.add_argument("--ideal", action="store_true", default=None,
-                    help="force the lossless dephasing-free system")
-    _add_common_options(sp)
-    sp.set_defaults(func=_cmd_saturation)
-
-    sp = subs.add_parser("dynamics", help="time-domain Bloch trajectory")
-    _add_system_options(sp)
-    sp.add_argument("--x", type=float, help="resonant saturation parameter of the drive")
-    sp.add_argument("--power", type=float, help="drive power (photons/s)")
-    sp.add_argument("--delta-omega", type=float, help="emitter-drive detuning")
-    sp.add_argument("--duration", type=float, help="integration time (default 20/gamma)")
-    sp.add_argument("--samples", type=float,
-                    help="number of output samples, an integer >= 2 (default 1001)")
-    sp.add_argument("--rtol", type=float,
-                    help="LSODA relative tolerance, >= 2.2e-14 (default 1e-10)")
-    sp.add_argument("--atol", type=float,
-                    help="LSODA absolute tolerance, > 0 (default 1e-12)")
-    sp.add_argument("--initial-re-s", type=float)
-    sp.add_argument("--initial-im-s", type=float)
-    sp.add_argument("--initial-s-z", type=float)
-    sp.add_argument("--full-system", action="store_true", default=None,
-                    help="keep the cavity amplitude dynamical")
-    sp.add_argument("--settle", action="store_true", default=None,
-                    help="relax to steady state; report it in the manifest")
-    sp.add_argument("--settle-tol", type=float)
-    _add_common_options(sp)
-    sp.set_defaults(func=_cmd_dynamics)
-
-    sp = subs.add_parser("pillar", help="micropillar diameter optimization")
-    sp.add_argument("--q0", type=float, help="intrinsic quality factor")
-    sp.add_argument("--objective", help="contrast | purcell | efficiency | beta_sq")
-    sp.add_argument("--d-min", type=float)
-    sp.add_argument("--d-max", type=float)
-    sp.add_argument("--grid-step", type=float, help="coarse sweep step, um")
-    sp.add_argument("--epsilon", type=float, help="etching-quality parameter")
-    sp.add_argument("--wavelength", type=float, help="vacuum wavelength, um")
-    sp.add_argument("--n-index", type=float)
-    sp.add_argument("--loss-ratio", type=float, help="gamma_at/gamma_free")
-    sp.add_argument("--gamma-star-ratio", type=float)
-    _add_common_options(sp)
-    sp.set_defaults(func=_cmd_pillar)
-
-    sp = subs.add_parser("slowlight", help="group delay of the atom chain")
-    sp.add_argument("--f-list", help="comma-separated f values (default 5,10,100)")
-    sp.add_argument("--gamma-over-kappa", type=float)
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--n-stages", type=float)
-    _add_common_options(sp)
-    sp.set_defaults(func=_cmd_slowlight)
-
-    sp = subs.add_parser("bistability", help="feedback-loop slope scan")
-    _add_system_options(sp)
-    sp.add_argument("--fraction-a-list", help="feedback fractions (default 0.1,0.5,0.9,0.99)")
-    sp.add_argument("--x-grid", help="default log:-3:4:7001")
-    _add_common_options(sp)
-    sp.set_defaults(func=_cmd_bistability)
-
-    sp = subs.add_parser("reshape", help="pulse contrast enhancement")
-    _add_system_options(sp)
-    sp.add_argument("--extinction", type=float, help="input extinction ratio")
-    sp.add_argument("--x-grid", help="default log:-3:2:501")
-    _add_common_options(sp)
-    sp.set_defaults(func=_cmd_reshape)
-
-    sp = subs.add_parser("kerr", help="equivalent Kerr-medium comparison")
-    sp.add_argument("--wavelength-um", type=float)
-    sp.add_argument("--n2-cm2-per-w", type=float)
-    sp.add_argument("--intensity-w-per-cm2", type=float)
-    sp.add_argument("--sigma-cm2", type=float, help="focus area")
-    sp.add_argument("--jump-factor", type=float)
-    sp.add_argument("--pc-watts", type=float, help="critical power in watts")
-    sp.add_argument("--gamma-per-s", type=float,
-                    help="emission rate used to derive P_c (default 1e10)")
-    _add_common_options(sp)
-    sp.set_defaults(func=_cmd_kerr)
-
+    named = next((arg for arg in argv if arg in _COMMANDS), None)
+    for name, (help_text, add_options, _) in _COMMANDS.items():
+        sp = subs.add_parser(name, help=help_text)
+        sp._negative_number_matcher = _NEGATIVE_VALUE
+        if name == named:
+            add_options(sp)
+            _add_common_options(sp)
     return parser
 
 
 def run(argv=None) -> int:
     """Entry point; returns the process exit code (0 ok, 2 usage, 3 domain)."""
-    parser = build_parser()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                sub._negative_number_matcher = _NEGATIVE_VALUE
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return ns.func(ns, parser)
-    except SystemExit as exc:          # parser.error inside a subcommand
+        return _COMMANDS[ns.command][2](ns, parser)
+    except SystemExit as exc:          # usage errors, --help
         return int(exc.code or 0)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -224,7 +224,10 @@ class BlochState:
         if not (math.isfinite(self.s.real) and math.isfinite(self.s.imag)
                 and math.isfinite(self.s_z)):
             return False
-        return (abs(self.s_z) <= 0.5 + tol) and (abs(self.s) ** 2 <= 0.25 + tol)
+        try:
+            return (abs(self.s_z) <= 0.5 + tol) and (abs(self.s) ** 2 <= 0.25 + tol)
+        except OverflowError:      # |s|^2 beyond the float range
+            return False
 
     def require_physical(self, tol=1e-9):
         if not self.is_physical(tol):

@@ -8,7 +8,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import onedatom
 from onedatom import (DriveField, cli, make_params, pillar, scatter_steady,
                       transmission_leaky)
 from onedatom.cli import parse_grid, run
@@ -196,13 +199,13 @@ def test_dynamics_accepts_integral_sample_count(tmp_path):
 
 def test_dynamics_passes_atol_to_settle(tmp_path, monkeypatch):
     seen = {}
-    real_settle = cli.dynamics.settle
+    real_settle = onedatom.dynamics.settle
 
     def spy(*args, **kwargs):
         seen.update(kwargs)
         return real_settle(*args, **kwargs)
 
-    monkeypatch.setattr(cli.dynamics, "settle", spy)
+    monkeypatch.setattr(onedatom.dynamics, "settle", spy)
     out = tmp_path / "settle.csv"
     assert run(["dynamics", "--x", "1", "--settle", "--samples", "5",
                 "--atol", "1e-11", "--out", str(out)]) == 0
@@ -210,16 +213,105 @@ def test_dynamics_passes_atol_to_settle(tmp_path, monkeypatch):
     assert read_manifest(out)["options"]["atol"] == 1e-11
 
 
-def test_cli_import_does_not_load_the_integrator():
+#: The package's public names, as listed before they were resolved lazily.
+PUBLIC_NAMES = {
+    "BistabilityResult", "BlochState", "DephasingUnsupported", "DiameterSweep",
+    "DomainError", "DriveField", "FieldProfileModel", "FiguresOfMerit",
+    "InvalidInitial", "LeakyNotSupported", "LinearSpectrumPoint", "Linewidths",
+    "NoConvergence", "NonFiniteInput", "NonPositiveRate",
+    "OffResonanceUnsupported", "OneDimAtomError", "OptimizeResult",
+    "PillarDesign", "ReshapeResult", "ResonanceExtrema", "SaturationCurve",
+    "SaturationCurvePoint", "SaturationPoint", "ScanFailed",
+    "ScatteringOutcome", "SettleResult", "SlowLightResult", "StepCollapse",
+    "SystemParams", "Trajectory", "UnsupportedRegime", "bistability_scan",
+    "contrast_enhancement", "critical_power", "critical_power_watts",
+    "default_field_model", "empty_cavity_t0", "figures_of_merit", "integrate",
+    "kerr_equivalent", "linewidths_ideal", "make_params", "mode_volume",
+    "optimize_diameter", "outcome_from_amplitudes", "output_amplitudes",
+    "params_from_ratios", "phi_ideal", "phi_leaky", "purcell_factor",
+    "q_total", "resonance_extrema", "saturation_curve", "saturation_point",
+    "scatter_nonlinear", "scatter_steady", "scattering_matrix_ideal", "settle",
+    "slow_light", "steady_state", "susceptibility", "sweep_diameter",
+    "switching_intensity", "t0_prime", "transmission_leaky",
+}
+
+#: One cheap call of each subcommand.
+CHEAP_CALLS = {
+    "spectrum": ["--grid", "-2:2:21"], "saturation": ["--x-grid", "log:-1:1:5"],
+    "dynamics": ["--x", "1", "--duration", "1", "--samples", "3"],
+    "pillar": ["--q0", "1000"], "slowlight": [],
+    "bistability": ["--x-grid", "log:-1:1:5"],
+    "reshape": ["--x-grid", "log:-1:1:5"], "kerr": [],
+}
+
+FRESH_IMPORT = """
+import json, sys
+import onedatom.cli
+print(json.dumps(sorted(sys.modules)))
+"""
+
+FRESH_RUN = """
+import json, sys
+import onedatom.cli
+code = onedatom.cli.run(sys.argv[1:])
+print(json.dumps([code, "scipy" in sys.modules]))
+"""
+
+FRESH_API = """
+import json
+import onedatom
+listed = dir(onedatom)
+names = onedatom.__all__
+print(json.dumps({"all": names, "undir": sorted(set(names) - set(listed)),
+                  "unresolved": [n for n in names if not hasattr(onedatom, n)],
+                  "unknown": hasattr(onedatom, "no_such_name")}))
+"""
+
+
+def test_cli_import_does_not_load_the_integrator(tmp_path, capsys):
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
-    code = ("import sys, onedatom.cli; "
-            "sys.exit('scipy.integrate' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+
+    def fresh(code, *args):
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              cwd=tmp_path, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    loaded = set(fresh(FRESH_IMPORT))
+    assert not loaded & {"scipy", "onedatom.dynamics", "onedatom.pillar",
+                         "onedatom.applications"}
+    for name in ("spectrum", "pillar", "kerr"):
+        assert fresh(FRESH_RUN, name, *CHEAP_CALLS[name],
+                     "--out", f"{name}.csv") == [0, False], name
+
+    api = fresh(FRESH_API)
+    assert set(api["all"]) == PUBLIC_NAMES
+    assert api["undir"] == [] and api["unresolved"] == []
+    assert api["unknown"] is False
+    with pytest.raises(AttributeError):
+        onedatom.no_such_name
+
+    subs = next(a for a in cli.build_parser(["kerr", "--out", "k.csv"])._actions
+                if a.dest == "command").choices
+    assert sorted(subs) == sorted(CHEAP_CALLS)
+    assert [n for n in subs if len(subs[n]._actions) > 1] == ["kerr"]
+
+    for name, args in CHEAP_CALLS.items():
+        out = tmp_path / f"{name}.csv"
+        assert run([name, *args, "--out", str(out)]) == 0, name
+        versions = read_manifest(out)["versions"]
+        assert ("scipy" in versions) == (name == "dynamics"), name
+    capsys.readouterr()
+    assert run(["--help"]) == 0
+    listing = capsys.readouterr().out
+    for name in CHEAP_CALLS:
+        assert name in listing
+        assert run([name, "--help"]) == 0
+        assert "--out" in capsys.readouterr().out
 
 
 def test_pillar_optimization_manifest(tmp_path):
@@ -496,3 +588,97 @@ def test_dynamics_rejects_bad_tolerances(tmp_path, capsys, flag, value):
                 flag, value, "--out", str(out)]) == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--duration", "inf"), ("--duration", "nan"), ("--duration", "0"),
+    ("--duration", "-1"), ("--settle-tol", "nan"), ("--settle-tol", "0"),
+    ("--settle-tol", "-1"), ("--settle-tol", "inf"), ("--delta-omega", "nan"),
+    ("--delta-omega", "inf"), ("--initial-re-s", "nan"),
+    ("--initial-im-s", "-inf"), ("--initial-s-z", "nan"),
+    ("--initial-s-z", "0.7"), ("--initial-re-s", "0.6"),
+    ("--initial-im-s", "-1e308"), ("--samples", "1e308")])
+def test_dynamics_bad_inputs_name_the_flag(tmp_path, capsys, flag, value):
+    out = tmp_path / "traj.csv"
+    assert run(["dynamics", "--x", "1", "--samples", "5", "--settle",
+                flag, value, "--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "2.5", "0", "-1"])
+def test_slowlight_rejects_bad_stage_counts(tmp_path, capsys, value):
+    out = tmp_path / "sl.csv"
+    assert run(["slowlight", "--n-stages", value, "--out", str(out)]) == 2
+    assert "--n-stages must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["slowlight", "--n-stages", "3", "--out", str(out)]) == 0
+    assert read_manifest(out)["options"]["n_stages"] == 3
+
+
+def test_slowlight_huge_f_has_a_finite_half_power_count(tmp_path):
+    # 1 + 1/f rounds to 1 here; N_1/2 = ln2 / (2 ln(1 + 1/f)) ~ f ln2 / 2.
+    out = tmp_path / "sl.csv"
+    assert run(["slowlight", "--f-list", "1e16,1e308", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    for row in rows:
+        named = dict(zip(header, row))
+        assert named["n_half"] == pytest.approx(0.5 * math.log(2) * named["f"],
+                                                rel=1e-12)
+
+
+@pytest.mark.parametrize("flag", [
+    "--wavelength-um", "--n2-cm2-per-w", "--intensity-w-per-cm2",
+    "--sigma-cm2", "--jump-factor", "--pc-watts", "--gamma-per-s"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_kerr_inputs_must_be_finite_and_positive(tmp_path, capsys, flag,
+                                                 value):
+    out = tmp_path / "kerr.csv"
+    assert run(["kerr", flag, value, "--out", str(out)]) == 2
+    assert f"{flag} must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _flag_arities():
+    """Each subcommand's flags, with whether the flag takes a value."""
+    table = {}
+    for name in CHEAP_CALLS:
+        parser = cli.build_parser([name])
+        sub = next(a for a in parser._actions if a.dest == "command").choices[name]
+        table[name] = {a.option_strings[-1]: a.nargs != 0
+                       for a in sub._actions if a.option_strings
+                       and a.dest not in ("help", "out", "manifest")}
+    return table
+
+
+FLAGS = _flag_arities()
+VALUES = ["0", "-1", "1", "0.3", "2.5", "nan", "inf", "-inf", "1e308",
+          "-1e308", "0:1:5", "log:-3:4:7", "1:0:3", "0:1:1", "0:1",
+          "log:0:400:3", "nan:1:3", "a:b:c", "5,0", ",", "1,x", "5,10,inf",
+          "", "junk", "--"]
+#: Flags set before the fuzzed ones, so that a dynamics example stays short
+#: unless it overrides them.
+CHEAP_PREFIX = {"dynamics": ["--duration", "1", "--samples", "3"]}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    name = draw(st.sampled_from(sorted(FLAGS)))
+    flags = FLAGS[draw(st.sampled_from(sorted(FLAGS)))] \
+        if draw(st.integers(0, 9)) == 0 else FLAGS[name]
+    argv = [name, *CHEAP_PREFIX.get(name, [])]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=4)):
+        argv.append(flag)
+        if flags[flag]:
+            argv.append(draw(st.sampled_from(VALUES)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fuzzed_argv())
+def test_fuzzed_arguments_exit_0_2_or_3(tmp_path, argv):
+    # Any argument list ends in success, a usage error or a domain error:
+    # never a traceback or another exit code.
+    code = run([*argv, "--out", str(tmp_path / "o.csv")])
+    assert code in (0, 2, 3), argv
