@@ -69,9 +69,7 @@ def slow_light(params: SystemParams, n_stages=1) -> SlowLightResult:
         n_half = math.inf
         total = math.inf
     else:
-        # Past f = 2**53, 1 + 1/f rounds to 1 and the log to 0; there
-        # log(1 + 1/f) equals 1/f to double precision.
-        n_half = 0.5 * math.log(2.0) / (math.log(1.0 + 1.0 / f) or 1.0 / f)
+        n_half = 0.5 * math.log(2.0) / math.log1p(1.0 / f)
         total = n_half * delay
     return SlowLightResult(
         f=f, beta=beta, delay_analytic=delay, delay_numeric=delay_numeric,

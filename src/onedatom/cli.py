@@ -14,6 +14,13 @@ subcommand it names only, and the handler imports the compute modules it
 runs, so a call loads neither the integrator nor scipy unless it is
 ``dynamics``; only that manifest names scipy's version.
 
+A handler checks its options and computes, writing nothing, and returns
+``(header, columns, manifest)``: the manifest holds its own entries only,
+and a ``versions`` entry adds to the artifact, Python and numpy versions.
+`run` is the one output path: it refuses a column holding NaN (exit 3),
+writes the CSV, then adds ``command``, ``rows`` and ``versions`` to the
+manifest and writes it.
+
 Rates are in the caller's angular-frequency unit with kappa defaulting
 to 1, so detunings and rates passed on the command line are effectively in
 units of kappa.
@@ -33,12 +40,16 @@ from . import __version__
 from .csvio import open_out, write_csv
 from .errors import DomainError
 
+#: Most points a grid or a trajectory may have.
+MAX_POINTS = 10 ** 7
+
 
 def parse_grid(text: str) -> np.ndarray:
     """Parse "a:b:n" (linear, inclusive) or "log:a:b:n" (decades).
 
-    Raises ValueError on malformed text, n < 2, non-finite endpoints, and
-    grid values that are not finite (or, on a log grid, underflow to 0).
+    Raises ValueError on malformed text, n outside [2, MAX_POINTS],
+    non-finite endpoints, and grid values that are not finite (or, on a log
+    grid, underflow to 0).
     """
     log = text.startswith("log:")
     body = text[4:] if log else text
@@ -49,6 +60,8 @@ def parse_grid(text: str) -> np.ndarray:
     n = int(parts[2])
     if n < 2:
         raise ValueError(f"grid needs n >= 2 points, got {n}")
+    if n > MAX_POINTS:
+        raise ValueError(f"grid has at most {MAX_POINTS} points, got {n}")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"grid endpoints must be finite, got {text!r}")
     with np.errstate(all="ignore"):
@@ -69,7 +82,11 @@ def _grid_option(parser, flag, text):
 
 
 def _parse_list(spec: str) -> list[float]:
-    return [float(tok) for tok in spec.split(",") if tok.strip()]
+    """The comma-separated numbers of ``spec``; [] if one is malformed."""
+    try:
+        return [float(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError:
+        return []
 
 
 def _check_finite(parser, ns, keys, positive=False):
@@ -81,6 +98,17 @@ def _check_finite(parser, ns, keys, positive=False):
                                       and (value > 0.0 or not positive)):
             parser.error(f"--{key.replace('_', '-')} must be finite"
                          f"{' and > 0' if positive else ''}, got {value}")
+
+
+def _check_drive(parser, ns, flag, x, gamma):
+    """Usage error unless the drive power 0.25*x*gamma is finite for the
+    largest saturation in ``x`` (the value or grid of the option ``flag``)."""
+    power = 0.25 * float(np.max(np.abs(x))) * gamma
+    if not math.isfinite(power):
+        system = ("--gamma" if ns.gamma is not None
+                  else "--gamma-over-kappa/--kappa")
+        parser.error(f"{system}/{flag} must give a finite drive power "
+                     f"0.25*x*gamma, got {power}")
 
 
 def _count_option(parser, ns, key, least, most=None):
@@ -125,12 +153,6 @@ def _params_view(params):
         "f": params.f_ratio, "beta": params.beta,
         "is_bad_cavity": params.is_bad_cavity,
     }
-
-
-def _versions():
-    return {"artifact": __version__,
-            "python": sys.version.split()[0],
-            "numpy": np.__version__}
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +279,7 @@ def _cmd_spectrum(ns, parser):
     params = _build_params(ns, parser)
     if not (math.isfinite(ns.x) and ns.x >= 0.0):
         parser.error(f"--x must be finite and >= 0, got {ns.x}")
+    _check_drive(parser, ns, "--x", ns.x, params.gamma)
     dw = nu * params.kappa - params.delta
     empty = transmission_leaky(dw, params, empty_cavity=True,
                                evanescent=ns.evanescent)
@@ -272,14 +295,10 @@ def _cmd_spectrum(ns, parser):
         t, r, cap_t, cap_r = r, t, cap_r, cap_t
     header = ("nu", "delta_omega", "re_t", "im_t", "re_r", "im_r",
               "cap_t", "cap_r", "leaks", "cap_t0")
-    with open_out(ns.out) as fh:
-        n = write_csv(fh, header, (nu, dw, t.real, t.imag, r.real, r.imag,
-                                   cap_t, cap_r, leaks, empty.cap_t))
-    _write_manifest(ns, {
-        "command": "spectrum",
+    return header, (nu, dw, t.real, t.imag, r.real, r.imag, cap_t, cap_r,
+                    leaks, empty.cap_t), {
         "options": {"grid": ns.grid, "x": ns.x, "evanescent": ns.evanescent},
-        "derived": _params_view(params), "rows": n, "versions": _versions()})
-    return 0
+        "derived": _params_view(params)}
 
 
 def _saturation_options(sp):
@@ -295,18 +314,14 @@ def _cmd_saturation(ns, parser):
                                    ideal=False))
     grid = _grid_option(parser, "--x-grid", ns.x_grid)
     params = _build_params(ns, parser, force_ideal=ns.ideal)
+    _check_drive(parser, ns, "--x-grid", grid, params.gamma)
     curve = nonlinear.saturation_curve(params, grid)
     header = ("x", "x_eff", "cap_t", "cap_r", "noise_frac",
               "p_t_over_p_c", "p_r_over_p_c", "caution")
-    with open_out(ns.out) as fh:
-        n = write_csv(fh, header, [getattr(curve, k) for k in header])
-    _write_manifest(ns, {
-        "command": "saturation",
+    return header, [getattr(curve, k) for k in header], {
         "options": {"x_grid": ns.x_grid, "ideal": ns.ideal},
         "derived": _params_view(params),
-        "results": {"p_c": nonlinear.critical_power(0.0, params)},
-        "rows": n, "versions": _versions()})
-    return 0
+        "results": {"p_c": nonlinear.critical_power(0.0, params)}}
 
 
 def _dynamics_options(sp):
@@ -349,7 +364,7 @@ def _cmd_dynamics(ns, parser):
                                "initial_s_z"))
     _check_finite(parser, ns, ("duration", "settle_tol"), positive=True)
     drive = DriveField.from_power(ns.delta_omega, p_in)
-    samples = _count_option(parser, ns, "samples", 2, 10 ** 7)
+    samples = _count_option(parser, ns, "samples", 2, MAX_POINTS)
     try:
         dynamics.check_tolerances(ns.rtol, ns.atol)
     except DomainError as exc:     # the message starts with rtol or atol
@@ -375,13 +390,10 @@ def _cmd_dynamics(ns, parser):
     traj = dynamics.integrate(drive, params, initial, duration,
                               rtol=ns.rtol, atol=ns.atol, samples=samples,
                               full_system=ns.full_system)
-    with open_out(ns.out) as fh:
-        n = traj.write_csv(fh)
     results["final"] = {"re_s": traj.s[-1].real, "im_s": traj.s[-1].imag,
                         "s_z": float(traj.s_z[-1])}
     import scipy                   # loaded by the LSODA driver
-    _write_manifest(ns, {
-        "command": "dynamics",
+    return dynamics.TRAJECTORY_COLUMNS, traj.columns, {
         "options": {"delta_omega": ns.delta_omega, "p_in": p_in,
                     "duration": duration, "samples": samples,
                     "rtol": ns.rtol, "atol": ns.atol,
@@ -390,8 +402,7 @@ def _cmd_dynamics(ns, parser):
         "diagnostics": {"solver": {"method": "LSODA",
                                    "nfev": nfev + traj.nfev,
                                    "settle_windows": settle_windows}},
-        "rows": n, "versions": dict(_versions(), scipy=scipy.__version__)})
-    return 0
+        "versions": {"scipy": scipy.__version__}}
 
 
 def _pillar_options(sp):
@@ -430,11 +441,8 @@ def _cmd_pillar(ns, parser):
               "contrast", "eta", "beta_sq")
     columns = ("d", "q", "v", "fp", "f", "t_max", "t_min",
                "contrast", "eta", "beta_sq")
-    with open_out(ns.out) as fh:
-        n = write_csv(fh, header, [getattr(res.sweep, k) for k in columns])
     m = res.merit
-    _write_manifest(ns, {
-        "command": "pillar",
+    return header, [getattr(res.sweep, k) for k in columns], {
         "options": {"q0": ns.q0, "objective": ns.objective,
                     "d_range": [ns.d_min, ns.d_max],
                     "grid_step": ns.grid_step, **kwargs},
@@ -444,9 +452,7 @@ def _cmd_pillar(ns, parser):
                     "Tmax": m.t_max, "Tmin": m.t_min, "contrast": m.contrast,
                     "eta": m.eta, "beta_sq": m.beta_sq},
         "diagnostics": {"optimizer": {"grid_points": res.grid_points,
-                                      "golden_probes": res.golden_probes}},
-        "rows": n, "versions": _versions()})
-    return 0
+                                      "golden_probes": res.golden_probes}}}
 
 
 def _slowlight_options(sp):
@@ -458,13 +464,10 @@ def _slowlight_options(sp):
 
 def _cmd_slowlight(ns, parser):
     from . import applications
-    from .model import make_params
+    from .model import params_from_ratios
     _apply_config(ns, parser, dict(f_list="5,10,100", gamma_over_kappa=0.002,
                                    kappa=1.0, n_stages=1))
-    try:
-        fs = _parse_list(ns.f_list)
-    except ValueError:
-        fs = []
+    fs = _parse_list(ns.f_list)
     if not fs or not all(f > 0.0 for f in fs):
         parser.error("--f-list must be comma-separated numbers > 0 "
                      f"(inf allowed), got {ns.f_list!r}")
@@ -472,21 +475,12 @@ def _cmd_slowlight(ns, parser):
     gamma = ns.gamma_over_kappa * ns.kappa
     header = ("f", "beta", "delay_analytic", "delay_numeric",
               "t_per_stage", "n_half", "total_delay_at_n_half")
-    rows = []
-    for f in fs:
-        params = make_params(gamma, ns.kappa,
-                             gamma_at=0.0 if math.isinf(f) else gamma / f)
-        r = applications.slow_light(params, n_stages=n_stages)
-        rows.append((r.f, r.beta, r.delay_analytic, r.delay_numeric,
-                     r.t_per_stage, r.n_half, r.total_delay_at_n_half))
-    with open_out(ns.out) as fh:
-        n = write_csv(fh, header, list(zip(*rows)))
-    _write_manifest(ns, {
-        "command": "slowlight",
+    results = [applications.slow_light(
+                   params_from_ratios(gamma, ns.kappa, f=f), n_stages=n_stages)
+               for f in fs]
+    return header, [[getattr(r, k) for r in results] for k in header], {
         "options": {"f_list": ns.f_list, "gamma": gamma, "kappa": ns.kappa,
-                    "n_stages": n_stages},
-        "rows": n, "versions": _versions()})
-    return 0
+                    "n_stages": n_stages}}
 
 
 def _bistability_options(sp):
@@ -501,30 +495,22 @@ def _cmd_bistability(ns, parser):
         _SYSTEM_DEFAULTS, fraction_a_list="0.1,0.5,0.9,0.99",
         x_grid="log:-3:4:7001"))
     grid = _grid_option(parser, "--x-grid", ns.x_grid)
-    try:
-        fractions = _parse_list(ns.fraction_a_list)
-    except ValueError:
-        fractions = []
+    fractions = _parse_list(ns.fraction_a_list)
     if not fractions:
         parser.error("--fraction-a-list must be comma-separated numbers, "
                      f"got {ns.fraction_a_list!r}")
     params = _build_params(ns, parser)
+    _check_drive(parser, ns, "--x-grid", grid, params.gamma)
     scans = [applications.bistability_scan(params, a, grid) for a in fractions]
     first = scans[0]
     header = ("x", "p_e", "p_t", "slope_analytic", "slope_numeric")
-    with open_out(ns.out) as fh:
-        n = write_csv(fh, header, (first.x, first.p_e, first.p_t,
-                                   first.slope_analytic, first.slope_numeric))
-    _write_manifest(ns, {
-        "command": "bistability",
+    return header, [getattr(first, k) for k in header], {
         "options": {"fraction_a_list": ns.fraction_a_list, "x_grid": ns.x_grid},
         "derived": _params_view(params),
         "results": {
             "max_slope": first.max_slope,
             "verdicts": {format(s.fraction_a, "g"): s.unique_solution
-                         for s in scans}},
-        "rows": n, "versions": _versions()})
-    return 0
+                         for s in scans}}}
 
 
 def _reshape_options(sp):
@@ -541,19 +527,14 @@ def _cmd_reshape(ns, parser):
     params = _build_params(ns, parser)
     if not (math.isfinite(ns.extinction) and ns.extinction > 1.0):
         parser.error(f"--extinction must be finite and > 1, got {ns.extinction}")
+    _check_drive(parser, ns, "--x-grid", grid, params.gamma)
     res = applications.contrast_enhancement(grid, ns.extinction, params)
     best = int(np.argmax(res.c_leaky))
-    with open_out(ns.out) as fh:
-        n = write_csv(fh, ("x", "c_ideal", "c_leaky"),
-                      (res.x, res.c_ideal, res.c_leaky))
-    _write_manifest(ns, {
-        "command": "reshape",
+    return ("x", "c_ideal", "c_leaky"), (res.x, res.c_ideal, res.c_leaky), {
         "options": {"extinction": ns.extinction, "x_grid": ns.x_grid},
         "derived": _params_view(params),
         "results": {"max_c_leaky": float(res.c_leaky[best]),
-                    "x_at_max": float(res.x[best])},
-        "rows": n, "versions": _versions()})
-    return 0
+                    "x_at_max": float(res.x[best])}}
 
 
 def _kerr_options(sp):
@@ -584,18 +565,13 @@ def _cmd_kerr(ns, parser):
               "length_m", "p_c_watts", "sigma_cm2", "i_pi_w_per_cm2")
     row = (ns.wavelength_um, ns.n2_cm2_per_w, ns.intensity_w_per_cm2,
            length_m, p_c, ns.sigma_cm2, i_pi)
-    with open_out(ns.out) as fh:
-        n = write_csv(fh, header, [[v] for v in row])
-    _write_manifest(ns, {
-        "command": "kerr",
+    return header, [[v] for v in row], {
         "options": {"wavelength_um": ns.wavelength_um,
                     "n2_cm2_per_w": ns.n2_cm2_per_w,
                     "intensity_w_per_cm2": ns.intensity_w_per_cm2,
                     "sigma_cm2": ns.sigma_cm2, "jump_factor": ns.jump_factor},
         "results": {"length_m": length_m, "length_km": length_m / 1e3,
-                    "p_c_watts": p_c, "i_pi_w_per_cm2": i_pi},
-        "rows": n, "versions": _versions()})
-    return 0
+                    "p_c_watts": p_c, "i_pi_w_per_cm2": i_pi}}
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +621,18 @@ def run(argv=None) -> int:
     parser = build_parser(argv)
     try:
         ns = parser.parse_args(argv)
-        return _COMMANDS[ns.command][2](ns, parser)
+        header, columns, manifest = _COMMANDS[ns.command][2](ns, parser)
+        for name, column in zip(header, columns):
+            if np.isnan(column).any():
+                raise DomainError(f"{ns.command}: column {name} holds NaN; "
+                                  "no output written")
+        with open_out(ns.out) as fh:
+            rows = write_csv(fh, header, columns)
+        manifest.update(command=ns.command, rows=rows, versions={
+            "artifact": __version__, "python": sys.version.split()[0],
+            "numpy": np.__version__, **manifest.get("versions", {})})
+        _write_manifest(ns, manifest)
+        return 0
     except SystemExit as exc:          # usage errors, --help
         return int(exc.code or 0)
     except DomainError as exc:

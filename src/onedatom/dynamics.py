@@ -60,11 +60,14 @@ class Trajectory:
     def final_state(self) -> BlochState:
         return self.state_at(-1)
 
+    @property
+    def columns(self) -> tuple:
+        """The CSV columns, one per entry of TRAJECTORY_COLUMNS."""
+        return (self.times, self.s.real, self.s.imag, self.s_z,
+                self.b_t.real, self.b_t.imag, self.b_r.real, self.b_r.imag)
+
     def write_csv(self, fh) -> int:
-        return write_csv(fh, TRAJECTORY_COLUMNS,
-                         (self.times, self.s.real, self.s.imag, self.s_z,
-                          self.b_t.real, self.b_t.imag,
-                          self.b_r.real, self.b_r.imag))
+        return write_csv(fh, TRAJECTORY_COLUMNS, self.columns)
 
 
 def _eliminated_rhs(drive: DriveField, params: SystemParams):

@@ -119,12 +119,6 @@ class Linewidths:
     dip_numeric: float
 
 
-def _transmission_ideal_resonant_atom(delta_omega, params):
-    # T(dw) = 1/(1 + zeta^2) for delta = 0; avoids the matrix construction.
-    zeta = delta_omega / params.kappa - params.gamma / (2.0 * delta_omega)
-    return 1.0 / (1.0 + zeta * zeta)
-
-
 def _bisect(fun, lo, hi, tol):
     flo = fun(lo)
     fhi = fun(hi)
@@ -150,9 +144,9 @@ def linewidths_ideal(params: SystemParams) -> Linewidths:
     """FWHM of the broad transmission peak and of the narrow dip (delta = 0).
 
     Returns the analytic pair (kappa, gamma) together with values scanned
-    numerically from the closed-form T(dw) by bisection on T = 1/2.  The
-    scan is independent of the analytic widths: it only uses the analytic
-    values as starting guesses for the brackets.
+    numerically from the T(dw) of `transmission_leaky` by bisection on
+    T = 1/2.  The scan is independent of the analytic widths: it only uses
+    the analytic values as starting guesses for the brackets.
 
     Raises
     ------
@@ -167,7 +161,7 @@ def linewidths_ideal(params: SystemParams) -> Linewidths:
     if not params.is_ideal:
         raise UnsupportedRegime("linewidths_ideal requires an ideal system")
     gamma, kappa = params.gamma, params.kappa
-    half = lambda dw: _transmission_ideal_resonant_atom(dw, params) - 0.5
+    half = lambda dw: transmission_leaky(dw, params).cap_t - 0.5
     tol = 1e-10 * kappa
     # T rises from 0 to 1 on (0, dw_peak) and falls back to 0 beyond it.
     dw_peak = math.sqrt(0.5 * gamma * kappa)

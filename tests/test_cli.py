@@ -282,8 +282,9 @@ def test_cli_import_does_not_load_the_integrator(tmp_path, capsys):
         return json.loads(proc.stdout)
 
     loaded = set(fresh(FRESH_IMPORT))
-    assert not loaded & {"scipy", "onedatom.dynamics", "onedatom.pillar",
-                         "onedatom.applications"}
+    assert {m for m in loaded if m.split(".")[0] == "onedatom"} == {
+        "onedatom", "onedatom.cli", "onedatom.csvio", "onedatom.errors"}
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
     for name in ("spectrum", "pillar", "kerr"):
         assert fresh(FRESH_RUN, name, *CHEAP_CALLS[name],
                      "--out", f"{name}.csv") == [0, False], name
@@ -430,6 +431,14 @@ def test_float_format_17_digits(tmp_path):
     (["reshape", "--extinction", "nan"], "--extinction"),
     (["dynamics", "--x", "nan"], "--x/--power"),
     (["dynamics", "--power", "inf"], "--x/--power"),
+    (["spectrum", "--grid", "0:1:100000000000000"], "--grid"),
+    (["bistability", "--gamma-over-kappa", "1e308"],
+     "--gamma-over-kappa/--kappa/--x-grid"),
+    (["saturation", "--gamma-over-kappa", "1e308"],
+     "--gamma-over-kappa/--kappa/--x-grid"),
+    (["reshape", "--gamma", "1e308"], "--gamma/--x-grid"),
+    (["spectrum", "--gamma", "1e308", "--x", "10", "--grid", "0:1:5"],
+     "--gamma/--x"),
 ])
 def test_non_finite_grids_and_drives_are_usage_errors(tmp_path, capsys,
                                                       argv, flag):
@@ -442,7 +451,7 @@ def test_non_finite_grids_and_drives_are_usage_errors(tmp_path, capsys,
 
 def test_parse_grid_rejects_values_outside_the_float_range():
     for text in ("nan:1:5", "0:1e400:3", "-inf:0:3", "-1e308:1.7e308:3",
-                 "log:0:400:3", "log:-400:0:3"):
+                 "log:0:400:3", "log:-400:0:3", "0:1:100000000000000"):
         with pytest.raises(ValueError):
             parse_grid(text)
     assert parse_grid("log:-300:300:3").tolist() == [1e-300, 1.0, 1e300]
@@ -617,14 +626,26 @@ def test_slowlight_rejects_bad_stage_counts(tmp_path, capsys, value):
 
 
 def test_slowlight_huge_f_has_a_finite_half_power_count(tmp_path):
-    # 1 + 1/f rounds to 1 here; N_1/2 = ln2 / (2 ln(1 + 1/f)) ~ f ln2 / 2.
+    # 1 + 1/f rounds here (to 1 past f = 2**53), but
+    # N_1/2 = ln2 / (2 ln(1 + 1/f)) ~ f ln2 / 2 to double precision.
     out = tmp_path / "sl.csv"
-    assert run(["slowlight", "--f-list", "1e16,1e308", "--out", str(out)]) == 0
+    assert run(["slowlight", "--f-list", "1e12,1e15,1e16,1e308",
+                "--out", str(out)]) == 0
     header, rows = read_csv(out)
     for row in rows:
         named = dict(zip(header, row))
         assert named["n_half"] == pytest.approx(0.5 * math.log(2) * named["f"],
                                                 rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--delta", "1e308", "--grid", "-1:1:5"],
+    ["spectrum", "--kappa", "1e-308", "--grid", "-1:1:5"]])
+def test_nan_columns_are_domain_errors(tmp_path, capsys, argv):
+    out = tmp_path / "o.csv"
+    assert run(argv + ["--out", str(out)]) == 3
+    assert "spectrum: column re_t holds NaN" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag", [
@@ -682,3 +703,6 @@ def test_fuzzed_arguments_exit_0_2_or_3(tmp_path, argv):
     # never a traceback or another exit code.
     code = run([*argv, "--out", str(tmp_path / "o.csv")])
     assert code in (0, 2, 3), argv
+    if code == 0:
+        _, rows = read_csv(tmp_path / "o.csv")
+        assert not np.isnan(rows).any(), argv
