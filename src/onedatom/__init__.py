@@ -20,8 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": "DephasingUnsupported DomainError InvalidInitial "
               "LeakyNotSupported NoConvergence NonFiniteInput NonPositiveRate "
-              "OffResonanceUnsupported OneDimAtomError ScanFailed StepCollapse "
-              "UnsupportedRegime",
+              "OneDimAtomError ScanFailed StepCollapse UnsupportedRegime",
     "model": "BlochState DriveField ScatteringOutcome SystemParams make_params "
              "outcome_from_amplitudes params_from_ratios",
     "linear": "LinearSpectrumPoint Linewidths ResonanceExtrema empty_cavity_t0 "
@@ -30,7 +29,7 @@ _EXPORTS = {
     "nonlinear": "SaturationCurve SaturationCurvePoint SaturationPoint "
                  "critical_power output_amplitudes phi_ideal phi_leaky "
                  "saturation_curve saturation_point scatter_nonlinear "
-                 "scatter_steady steady_state susceptibility",
+                 "steady_state susceptibility",
     "dynamics": "SettleResult Trajectory integrate settle",
     "pillar": "DiameterSweep FieldProfileModel FiguresOfMerit OptimizeResult "
               "PillarDesign default_field_model figures_of_merit mode_volume "

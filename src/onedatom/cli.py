@@ -101,14 +101,18 @@ def _check_finite(parser, ns, keys, positive=False):
 
 
 def _check_drive(parser, ns, flag, x, gamma):
-    """Usage error unless the drive power 0.25*x*gamma is finite for the
-    largest saturation in ``x`` (the value or grid of the option ``flag``)."""
-    power = 0.25 * float(np.max(np.abs(x))) * gamma
-    if not math.isfinite(power):
+    """Usage error unless the drive power 0.25*x*gamma of every x != 0 in
+    ``x`` (the value or grid of the option ``flag``) is a finite normal
+    float: a subnormal power keeps only a few bits of x."""
+    x = np.abs(np.ravel(x))
+    low, high = (0.25 * float(v) * gamma
+                 for v in (x[x > 0.0].min(initial=math.inf), x.max()))
+    if not (math.isfinite(high) and low >= sys.float_info.min):
         system = ("--gamma" if ns.gamma is not None
                   else "--gamma-over-kappa/--kappa")
         parser.error(f"{system}/{flag} must give a finite drive power "
-                     f"0.25*x*gamma, got {power}")
+                     f"0.25*x*gamma of at least {sys.float_info.min}, got "
+                     f"{low} to {high}")
 
 
 def _count_option(parser, ns, key, least, most=None):
@@ -272,7 +276,7 @@ def _spectrum_options(sp):
 def _cmd_spectrum(ns, parser):
     from .linear import transmission_leaky
     from .model import DriveField
-    from .nonlinear import scatter_steady
+    from .nonlinear import scatter_nonlinear
     _apply_config(ns, parser, dict(_SYSTEM_DEFAULTS, grid="-2:2:2001", x=0.0,
                                    evanescent=False))
     nu = _grid_option(parser, "--grid", ns.grid)
@@ -283,20 +287,15 @@ def _cmd_spectrum(ns, parser):
     dw = nu * params.kappa - params.delta
     empty = transmission_leaky(dw, params, empty_cavity=True,
                                evanescent=ns.evanescent)
-    if ns.x == 0.0:
-        out = transmission_leaky(dw, params, evanescent=ns.evanescent)
-        leaks = out.leaks
-    else:
-        drive = DriveField.from_power(dw, 0.25 * ns.x * params.gamma)
-        out = scatter_steady(drive, params)
-        leaks = out.p_noise / out.p_in
+    out = scatter_nonlinear(
+        DriveField.from_power(dw, 0.25 * ns.x * params.gamma), params)
     t, r, cap_t, cap_r = out.t, out.r, out.cap_t, out.cap_r
-    if ns.x != 0.0 and ns.evanescent:
+    if ns.evanescent:
         t, r, cap_t, cap_r = r, t, cap_r, cap_t
     header = ("nu", "delta_omega", "re_t", "im_t", "re_r", "im_r",
               "cap_t", "cap_r", "leaks", "cap_t0")
     return header, (nu, dw, t.real, t.imag, r.real, r.imag, cap_t, cap_r,
-                    leaks, empty.cap_t), {
+                    1.0 - cap_t - cap_r, empty.cap_t), {
         "options": {"grid": ns.grid, "x": ns.x, "evanescent": ns.evanescent},
         "derived": _params_view(params)}
 
@@ -347,7 +346,7 @@ def _dynamics_options(sp):
 
 
 def _cmd_dynamics(ns, parser):
-    from . import dynamics
+    from . import dynamics, nonlinear
     from .model import BlochState, DriveField
     _apply_config(ns, parser, dict(
         _SYSTEM_DEFAULTS, x=None, power=None, delta_omega=0.0, duration=None,
@@ -383,10 +382,14 @@ def _cmd_dynamics(ns, parser):
                                   full_system=ns.full_system)
         duration = settled.time
         nfev, settle_windows = settled.nfev, settled.windows
+        s, s_z = settled.state.s, settled.state.s_z
+        fixed = nonlinear.steady_state(drive, params)
+        # With --full-system the gap is the elimination and closure error.
         results["settled"] = {
-            "re_s": settled.state.s.real, "im_s": settled.state.s.imag,
-            "s_z": settled.state.s_z, "time": settled.time,
-            "windows": settled.windows}
+            "re_s": s.real, "im_s": s.imag, "s_z": s_z, "time": settled.time,
+            "windows": settled.windows, "steady_state_gap": max(
+                abs(s.real - fixed.s.real), abs(s.imag - fixed.s.imag),
+                abs(s_z - fixed.s_z))}
     traj = dynamics.integrate(drive, params, initial, duration,
                               rtol=ns.rtol, atol=ns.atol, samples=samples,
                               full_system=ns.full_system)

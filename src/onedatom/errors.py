@@ -33,10 +33,6 @@ class DephasingUnsupported(DomainError):
     """The leaky closed forms are derived for zero pure dephasing."""
 
 
-class OffResonanceUnsupported(DomainError):
-    """Operation is defined at exact resonance only."""
-
-
 class ScanFailed(DomainError):
     """A numeric root bracket could not be established."""
 

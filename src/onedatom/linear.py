@@ -1,7 +1,9 @@
 """Linear (unsaturated) response: spectra, scattering matrix, linewidths.
 
-All closed forms here are exact consequences of the coupled-mode equations
-with the population pinned to the ground state (s_z = -1/2).
+`_fixed_point` is the one steady-state kernel of the package: the spectra
+are its zero-drive limit, and the nonlinear module evaluates it at finite
+drive.  The scattering matrix, linewidths and resonant extrema are the
+paper's closed forms for the unsaturated system (s_z = -1/2).
 """
 
 from __future__ import annotations
@@ -70,20 +72,61 @@ class LinearSpectrumPoint:
     leaks: float
 
 
+def _fixed_point(delta_omega, b_in, params: SystemParams):
+    """Closed-form fixed point of the cavity-eliminated Bloch equations.
+
+    With q = Q/Q0, e = 2i dw + gamma_at + 2 gamma_star,
+    d = (gamma q t0' + e)/2, relax = gamma q Re t0' + gamma_at and
+    c = sqrt(gamma/2) q t0' b_in, the equations ds/dt = -d s - 2i c s_z,
+    ds_z/dt = -relax (s_z + 1/2) + 2 Re(i s* c) are affine; their fixed
+    point s = -2i c s_z/d leaves
+
+        P_c = relax |d|^2 / (2 gamma q^2 |t0'|^2 Re d),   x = P_in/P_c,
+        s_z = -1/(2(1+x)),   s = i c/(d(1+x)),
+        t = -q t0' (e + 2dx)/(2d(1+x)),   r = 1 + t
+          = q t0' (gamma + u (e + 2dx))/(2d(1+x)),
+
+    with u = (gamma_cav/2 + i(dw + delta))/kappa.  P_c is taken as a product
+    of rate ratios, so no rate is squared.  Returns (p_c, x, s_z, s, t, r)
+    shaped like the broadcast inputs (Python numbers for scalars); x = 0 at
+    zero drive, and a limit beyond the float range gives NaN.
+    """
+    dw, b_in = np.broadcast_arrays(np.asarray(delta_omega, dtype=float),
+                                   np.asarray(b_in, dtype=complex))
+    shape, dw, b_in = dw.shape, dw.reshape(-1), b_in.reshape(-1)
+    gamma = params.gamma
+    with np.errstate(all="ignore"):
+        qt0 = params.q_ratio * t0_prime(dw, params)
+        e = 2j * dw + params.loss_rate
+        d = 0.5 * (gamma * qt0 + e)
+        relax = gamma * qt0.real + params.gamma_at
+        m = np.abs(d) / np.abs(qt0)
+        p_c = relax / (2.0 * d.real) * m * (m / gamma)
+        p_in = np.abs(b_in) ** 2
+        x = np.divide(p_in, p_c, out=np.zeros_like(p_in), where=p_in > 0.0)
+        one_x = 1.0 + x
+        s_z = -0.5 / one_x
+        s = 1j * (math.sqrt(0.5 * gamma) * qt0 * b_in) / (d * one_x)
+        num = e + 2.0 * d * x
+        den = 2.0 * d * one_x
+        u = (0.5 * params.gamma_cav + 1j * (dw + params.delta)) / params.kappa
+        t = -qt0 * num / den
+        r = qt0 * (gamma + u * num) / den
+    columns = (p_c, x, s_z, s, t, r)
+    if not shape:
+        return tuple(c.item() for c in columns)
+    return tuple(c.reshape(shape) for c in columns)
+
+
 def transmission_leaky(delta_omega, params: SystemParams, *,
                        empty_cavity=False, evanescent=False) -> LinearSpectrumPoint:
     """Linear transmission/reflection of the (possibly leaky) system.
 
-    Covers the ideal system as the special case f = inf, Q = Q0.  The atom
-    term is evaluated through the 1/f parametrization
-
-        t = (Q/Q0) t0' [-1 + t0' / (t0' + 1/f + (2i dw/gamma)(Q0/Q))]
-
-    which is exact for all f including f = inf and is algebraically
-    equivalent to the saturated-free steady state of the coupled-mode
-    equations.  ``empty_cavity=True`` drops the atom term, giving
-    t = -(Q/Q0) t0'.  ``evanescent=True`` swaps t and r, describing the
-    geometry where the uncoupled cavity transmits instead of reflecting.
+    The zero-drive t = -(Q/Q0) t0' e/(2d) of `_fixed_point` is the paper's
+    t = (Q/Q0) t0' [-1 + t0'/(t0' + 1/f + (2i dw/gamma)(Q0/Q))], and r = 1 + t.
+    ``empty_cavity=True`` drops the atom term, giving t = -(Q/Q0) t0'.
+    ``evanescent=True`` swaps t and r, describing the geometry where the
+    uncoupled cavity transmits instead of reflecting.
 
     ``delta_omega`` may be a scalar or an array.  A scalar runs as a
     one-element array through the same numpy operations, so it gives
@@ -91,14 +134,11 @@ def transmission_leaky(delta_omega, params: SystemParams, *,
     """
     dw = np.asarray(delta_omega, dtype=float)
     flat = dw.reshape(-1)
-    q = params.q_ratio
-    t0p = t0_prime(flat, params)
     if empty_cavity:
-        t = -q * t0p
+        t = -params.q_ratio * t0_prime(flat, params)
+        r = 1.0 + t
     else:
-        denom = t0p + params.inv_f + 2j * flat / (q * params.gamma)
-        t = q * t0p * (-1.0 + t0p / denom)
-    r = 1.0 + t
+        *_, t, r = _fixed_point(flat, 0.0, params)
     if evanescent:
         t, r = r, t
     cap_t = np.abs(t) ** 2

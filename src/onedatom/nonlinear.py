@@ -1,9 +1,11 @@
 """Semiclassical steady state at arbitrary drive power.
 
-Saturation parameter, critical power (ideal and leaky), dipole
-susceptibility, nonlinear scattering at resonance, and saturation curves.
-The closed forms take array-valued drives (see `DriveField`) and then
-return arrays, so a whole sweep is one call.
+Critical power, Bloch steady state, scattering and saturation curves all
+come from `linear._fixed_point`, the closed-form fixed point of the
+cavity-eliminated Bloch equations at any detuning, leak and dephasing.
+They take array-valued drives (see `DriveField`), so a sweep is one call.
+`phi_ideal`, `phi_leaky` and `susceptibility` are the paper's special-case
+formulas, kept as documentation and test oracles; nothing here calls them.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DephasingUnsupported, LeakyNotSupported,
-                     OffResonanceUnsupported, UnsupportedRegime)
-from .linear import empty_cavity_t0, t0_prime
+                     UnsupportedRegime)
+from .linear import _fixed_point, empty_cavity_t0, t0_prime
 from .model import (BlochState, ColumnRecord, DriveField, ScatteringOutcome,
                     SystemParams, outcome_from_amplitudes)
 
@@ -54,14 +56,11 @@ def phi_leaky(delta_omega, params: SystemParams) -> float:
 def critical_power(delta_omega, params: SystemParams) -> float:
     """Drive power (photons/s) at which the population reaches s_z = -1/4.
 
-    Ideal system: P_c = (gamma/4) phi(dw), equal to gamma/4 on resonance
-    (one fourth of a photon per lifetime).  Leaky system (requires
-    gamma_star = 0): P_c' = (gamma/4) phi'(dw), equal to
-    (gamma/4)(1 + 1/f)^2 on full resonance.
+    P_c of `_fixed_point`: (gamma/4) phi(dw) for the ideal system (gamma/4
+    on resonance, a quarter photon per lifetime), (gamma/4) phi'(dw) for a
+    leaky one without dephasing ((gamma/4)(1 + 1/f)^2 on full resonance).
     """
-    phi = phi_ideal(delta_omega, params) if params.is_ideal \
-        else phi_leaky(delta_omega, params)
-    return 0.25 * params.gamma * phi
+    return _fixed_point(delta_omega, 0.0, params)[0]
 
 
 @dataclass(frozen=True)
@@ -85,45 +84,11 @@ def saturation_point(drive: DriveField, params: SystemParams) -> SaturationPoint
 
 
 def steady_state(drive: DriveField, params: SystemParams) -> BlochState:
-    """Closed-form semiclassical steady state of the driven dipole.
-
-    Ideal branch (no leaks, no dephasing), any detuning:
-
-        s_z = -(1/2)/(1+x),  s = sqrt(2/gamma) (1/(1+x)) i b_in
-                                 / (1 + 2i dw/(gamma t0(dw)))
-
-    with x = P_in/P_c(dw).  Leaky branch: closed form exists on full
-    resonance (dw = 0, delta = 0) with gamma_star = 0,
-
-        s_z = -(1/2)/(1+x'),  s = sqrt(2/gamma) i b_in beta / (1+x')
-
-    with x' = P_in/P_c' and beta = f/(1+f).
-
-    Raises
-    ------
-    DephasingUnsupported
-        Leaky branch with gamma_star > 0.
-    UnsupportedRegime
-        Leaky branch off resonance (use the dynamics module instead).
+    """Semiclassical steady state s_z = -(1/2)/(1+x), s = i c/(d (1+x)) of
+    `_fixed_point`, x = P_in/P_c(dw); for the ideal system
+    s = sqrt(2/gamma) alpha b_in with alpha the `susceptibility`.
     """
-    if params.is_ideal:
-        x = drive.p_in / critical_power(drive.delta_omega, params)
-        s_z = -0.5 / (1.0 + x)
-        t0 = empty_cavity_t0(drive.delta_omega, params)
-        s = (math.sqrt(2.0 / params.gamma) / (1.0 + x) * 1j * drive.b_in
-             / (1.0 + 2j * drive.delta_omega / (params.gamma * t0)))
-        return BlochState(s, s_z)
-    if params.gamma_star != 0.0:
-        raise DephasingUnsupported(
-            "leaky steady state is derived for gamma_star = 0")
-    if np.any(drive.delta_omega != 0.0) or params.delta != 0.0:
-        raise UnsupportedRegime(
-            "leaky steady state in closed form requires full resonance "
-            "(delta_omega = 0 and delta = 0); integrate the dynamics instead")
-    beta = params.beta
-    x_eff = 4.0 * beta * beta * drive.p_in / params.gamma
-    s_z = -0.5 / (1.0 + x_eff)
-    s = math.sqrt(2.0 / params.gamma) * 1j * drive.b_in * beta / (1.0 + x_eff)
+    _, _, s_z, s, _, _ = _fixed_point(drive.delta_omega, drive.b_in, params)
     return BlochState(s, s_z)
 
 
@@ -151,60 +116,16 @@ def output_amplitudes(s, drive: DriveField, params: SystemParams):
 
 
 def scatter_nonlinear(drive: DriveField, params: SystemParams) -> ScatteringOutcome:
-    """Resonant scattering at arbitrary power (closed form).
+    """Scattering at any power, detuning, leak and dephasing: the t and
+    r = 1 + t of `_fixed_point`, the linear spectrum at zero power.
 
-    Ideal: t = -x/(1+x), r = 1/(1+x) with x = 4 P_in/gamma, so
-    P_t = x^2/(1+x)^2 P_in, P_r = P_in/(1+x)^2 and the incoherent noise
-    carries the remainder 2x/(1+x)^2 P_in (maximal at x = 1).  Leaky
-    (gamma_star = 0): t = (Q/Q0)(beta/(1 + beta^2 x) - 1), r = 1 + t.
-
-    Raises
-    ------
-    OffResonanceUnsupported
-        If delta_omega != 0 or delta != 0.
-    DephasingUnsupported
-        Leaky system with gamma_star > 0.
+    On resonance the ideal system gives t = -x/(1+x), r = 1/(1+x) with
+    x = 4 P_in/gamma, so the incoherent noise carries 2x/(1+x)^2 P_in
+    (maximal at x = 1); a leaky one without dephasing gives
+    t = (Q/Q0)(beta/(1 + beta^2 x) - 1).
     """
-    if np.any(drive.delta_omega != 0.0) or params.delta != 0.0:
-        raise OffResonanceUnsupported(
-            "scatter_nonlinear uses the resonant closed forms "
-            "(delta_omega = 0, delta = 0); see scatter_steady for the "
-            "ideal off-resonant case")
-    x = 4.0 * drive.p_in / params.gamma
-    if params.is_ideal:
-        t = -x / (1.0 + x)
-        r = 1.0 / (1.0 + x)
-    else:
-        if params.gamma_star != 0.0:
-            raise DephasingUnsupported(
-                "leaky nonlinear scattering is derived for gamma_star = 0")
-        # t = (Q/Q0) (beta/(1 + beta^2 x) - 1), written without the
-        # small-x cancellation: 1 - beta computed from 1/f directly.
-        beta = params.beta
-        one_minus_beta = params.inv_f / (1.0 + params.inv_f)
-        xb = beta * beta * x
-        t = -params.q_ratio * (one_minus_beta + xb) / (1.0 + xb)
-        r = 1.0 + t
+    *_, t, r = _fixed_point(drive.delta_omega, drive.b_in, params)
     return outcome_from_amplitudes(t, r, drive.p_in)
-
-
-def scatter_steady(drive: DriveField, params: SystemParams) -> ScatteringOutcome:
-    """Steady-state scattering of the ideal system at arbitrary detuning.
-
-    Evaluates the closed-form steady state and the output relations; this is
-    what the detuned nonlinear transmission spectra are made of.  Requires
-    P_in > 0 (the linear module covers the zero-power limit).
-    """
-    if not params.is_ideal:
-        raise LeakyNotSupported(
-            "off-resonant nonlinear scattering requires an ideal system")
-    if np.any(drive.p_in == 0.0):
-        raise OffResonanceUnsupported(
-            "scatter_steady requires p_in > 0; use transmission_leaky for "
-            "the linear limit")
-    state = steady_state(drive, params)
-    b_t, b_r = output_amplitudes(state.s, drive, params)
-    return outcome_from_amplitudes(b_t / drive.b_in, b_r / drive.b_in, drive.p_in)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import onedatom
-from onedatom import (DriveField, cli, make_params, pillar, scatter_steady,
-                      transmission_leaky)
+from onedatom import (DriveField, cli, make_params, pillar,
+                      scatter_nonlinear, transmission_leaky)
 from onedatom.cli import parse_grid, run
 
 
@@ -95,11 +95,37 @@ def test_readme_commands_are_deterministic(tmp_path, monkeypatch, capsys):
     assert not pathlib.Path("threads.csv").exists()
 
 
-def test_spectrum_nonlinear_requires_ideal(tmp_path, capsys):
-    code = run(["spectrum", "--x", "1", "--f", "5", "--grid", "0:1:5",
-                "--out", str(tmp_path / "x.csv")])
-    assert code == 3
-    assert "ideal" in capsys.readouterr().err
+def test_spectrum_nonlinear_leaky_resonant_value(tmp_path):
+    # On resonance the leaky device gives t = beta/(1 + beta^2 x) - 1
+    # with x = 4 P_in/gamma = 1 and beta = f/(1+f).
+    out = tmp_path / "x.csv"
+    assert run(["spectrum", "--x", "1", "--f", "5", "--grid", "0:1:5",
+                "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    named = dict(zip(header, rows[0]))
+    beta = 5.0 / 6.0
+    t = beta / (1.0 + beta * beta) - 1.0
+    assert named["re_t"] == pytest.approx(t, rel=1e-12)
+    assert named["im_t"] == 0.0
+    assert named["cap_r"] == pytest.approx((1.0 + t) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--x", "1", "--f", "5", "--grid", "-0.01:0.01:21"],
+    ["saturation", "--delta", "0.5", "--x-grid", "log:-3:4:71"],
+    ["saturation", "--gamma-star", "0.001", "--x-grid", "log:-3:4:71"],
+    ["reshape", "--delta", "0.3", "--x-grid", "log:-3:2:51"]])
+def test_leaky_dephased_and_detuned_nonlinear_runs(tmp_path, argv):
+    # Saturated leaky, dephased and detuned devices run and keep the budget.
+    out = tmp_path / "o.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    col = dict(zip(header, np.array(rows).T))
+    assert np.isfinite(np.array(rows)).all()
+    rest = col.get("leaks", col.get("noise_frac"))
+    if rest is not None:
+        assert np.all(np.abs(col["cap_t"] + col["cap_r"] + rest - 1.0) < 1e-12)
+        assert np.all(rest >= -1e-12)
 
 
 def test_spectrum_usage_errors():
@@ -143,6 +169,16 @@ def test_dynamics_settle_manifest(tmp_path):
                 "--kappa", "500", "--out", str(out)]) == 0
     settled = read_manifest(out)["results"]["settled"]
     assert settled["s_z"] == pytest.approx(-0.25, abs=1e-6)
+    # The distance of the settled state to the closed-form fixed point: the
+    # settle tolerance for the eliminated equations, and for the weakly
+    # driven full system the error of the elimination and of its
+    # mean-field closure (7e-4 here).
+    assert 0.0 <= settled["steady_state_gap"] < 1e-8
+    full = tmp_path / "full.csv"
+    assert run(["dynamics", "--x", "0.01", "--settle", "--samples", "5",
+                "--kappa", "500", "--full-system", "--out", str(full)]) == 0
+    gap = read_manifest(full)["results"]["settled"]["steady_state_gap"]
+    assert 1e-4 < gap < 1e-2
 
 
 def test_dynamics_manifest_solver_diagnostics(tmp_path):
@@ -219,7 +255,7 @@ PUBLIC_NAMES = {
     "DomainError", "DriveField", "FieldProfileModel", "FiguresOfMerit",
     "InvalidInitial", "LeakyNotSupported", "LinearSpectrumPoint", "Linewidths",
     "NoConvergence", "NonFiniteInput", "NonPositiveRate",
-    "OffResonanceUnsupported", "OneDimAtomError", "OptimizeResult",
+    "OneDimAtomError", "OptimizeResult",
     "PillarDesign", "ReshapeResult", "ResonanceExtrema", "SaturationCurve",
     "SaturationCurvePoint", "SaturationPoint", "ScanFailed",
     "ScatteringOutcome", "SettleResult", "SlowLightResult", "StepCollapse",
@@ -230,7 +266,7 @@ PUBLIC_NAMES = {
     "optimize_diameter", "outcome_from_amplitudes", "output_amplitudes",
     "params_from_ratios", "phi_ideal", "phi_leaky", "purcell_factor",
     "q_total", "resonance_extrema", "saturation_curve", "saturation_point",
-    "scatter_nonlinear", "scatter_steady", "scattering_matrix_ideal", "settle",
+    "scatter_nonlinear", "scattering_matrix_ideal", "settle",
     "slow_light", "steady_state", "susceptibility", "sweep_diameter",
     "switching_intensity", "t0_prime", "transmission_leaky",
 }
@@ -439,6 +475,15 @@ def test_float_format_17_digits(tmp_path):
     (["reshape", "--gamma", "1e308"], "--gamma/--x-grid"),
     (["spectrum", "--gamma", "1e308", "--x", "10", "--grid", "0:1:5"],
      "--gamma/--x"),
+    # Subnormal drive powers keep only a few bits of x.
+    (["saturation", "--gamma", "1e-320", "--x-grid", "log:-3:4:8"],
+     "--gamma/--x-grid"),
+    (["spectrum", "--gamma", "1e-310", "--x", "1", "--grid", "0:1:5"],
+     "--gamma/--x"),
+    (["reshape", "--gamma-over-kappa", "1e-300", "--kappa", "1e-10"],
+     "--gamma-over-kappa/--kappa/--x-grid"),
+    (["bistability", "--gamma", "1e-300", "--x-grid", "log:-10:0:3"],
+     "--gamma/--x-grid"),
 ])
 def test_non_finite_grids_and_drives_are_usage_errors(tmp_path, capsys,
                                                       argv, flag):
@@ -511,10 +556,10 @@ def test_spectrum_columns_match_the_kernels(tmp_path):
         empty = transmission_leaky(dw, params, empty_cavity=True,
                                    evanescent=True)
         if extra:
-            res = scatter_steady(DriveField.from_power(dw, 0.25 * 2 * 0.002),
-                                 params)
+            res = scatter_nonlinear(
+                DriveField.from_power(dw, 0.25 * 2 * 0.002), params)
             t, r = res.r, res.t          # the evanescent geometry swaps them
-            leaks = res.p_noise / res.p_in
+            leaks = 1.0 - np.abs(t) ** 2 - np.abs(r) ** 2
         else:
             res = transmission_leaky(dw, params, evanescent=True)
             t, r, leaks = res.t, res.r, res.leaks

@@ -12,8 +12,9 @@ from onedatom import (BlochState, DomainError, DriveField, InvalidInitial,
                       NoConvergence, NonFiniteInput, NonPositiveRate,
                       StepCollapse, UnsupportedRegime, critical_power,
                       make_params,
-                      output_amplitudes, params_from_ratios,
-                      scatter_nonlinear, steady_state, transmission_leaky)
+                      output_amplitudes, params_from_ratios, phi_ideal,
+                      phi_leaky, scatter_nonlinear, steady_state,
+                      susceptibility, transmission_leaky)
 from onedatom import dynamics
 from onedatom.linear import t0_prime
 from onedatom.dynamics import (TRAJECTORY_COLUMNS, SettleResult, Trajectory,
@@ -438,3 +439,102 @@ def test_smallest_relative_tolerance_is_accepted():
     traj = integrate(drive, IDEAL, BlochState.ground(), 1.0, samples=3,
                      rtol=dynamics.RTOL_MIN)
     assert np.isfinite(traj.s_z).all()
+
+
+# ---------------------------------------------------------------------------
+# The steady-state kernel against oracles it shares no code with
+
+def test_steady_state_matches_settle_beyond_the_resonant_closed_forms():
+    # Leaky, dephased and detuned devices: the regimes the paper's closed
+    # forms do not cover.
+    rng = np.random.default_rng(20261018)
+    for _ in range(20):
+        q = rng.uniform(0.3, 1.0)
+        f = 10.0 ** rng.uniform(math.log10(0.5), 2.0)
+        p = dataclasses.replace(
+            params_from_ratios(1.0, 500.0, q, f,
+                               delta=rng.choice([0.0, -250.0, 150.0])),
+            gamma_star=rng.uniform(0.0, 1.0))
+        dw = rng.uniform(-5.0, 5.0)
+        x = 10.0 ** rng.uniform(-2.0, 2.0)
+        drive = DriveField.from_power(dw, x * critical_power(dw, p))
+        res = settle(drive, p, 1e-9)
+        ref = steady_state(drive, p)
+        assert abs(res.state.s.real - ref.s.real) < 1e-6
+        assert abs(res.state.s.imag - ref.s.imag) < 1e-6
+        assert abs(res.state.s_z - ref.s_z) < 1e-6
+
+
+def _affine_fixed_point(drive, params):
+    """-A^-1 b of the _eliminated_rhs docstring, by a 3x3 linear solve."""
+    q = params.q_ratio
+    t0p = 1.0 / (1.0 + 1j * q * (drive.delta_omega + params.delta)
+                 / params.kappa)
+    d = (1j * drive.delta_omega + 0.5 * params.gamma * q * t0p
+         + 0.5 * params.gamma_at + params.gamma_star)
+    c = math.sqrt(0.5 * params.gamma) * q * drive.b_in * t0p
+    relax = params.gamma * q * t0p.real + params.gamma_at
+    a = np.array([[-d.real, d.imag, 2.0 * c.imag],
+                  [-d.imag, -d.real, -2.0 * c.real],
+                  [-2.0 * c.imag, 2.0 * c.real, -relax]])
+    return np.linalg.solve(a, [0.0, 0.0, 0.5 * relax])
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=driven_systems())
+def test_steady_state_is_the_affine_fixed_point(system):
+    drive, params = system
+    want = _affine_fixed_point(drive, params)
+    st = steady_state(drive, params)
+    got = np.array([st.s.real, st.s.imag, st.s_z])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=driven_systems())
+def test_kernel_matches_the_paper_formulas(system):
+    # phi' holds without dephasing, phi and the susceptibility for the
+    # ideal device.
+    drive, params = system
+    dw = drive.delta_omega
+    leaky = dataclasses.replace(params, gamma_star=0.0)
+    assert critical_power(dw, leaky) == pytest.approx(
+        0.25 * leaky.gamma * phi_leaky(dw, leaky), rel=1e-12)
+    ideal = make_params(params.gamma, params.kappa, delta=params.delta)
+    p_c = critical_power(dw, ideal)
+    assert p_c == pytest.approx(0.25 * ideal.gamma * phi_ideal(dw, ideal),
+                                rel=1e-12)
+    s = (math.sqrt(2.0 / ideal.gamma) * drive.b_in
+         * susceptibility(dw, drive.p_in / p_c, ideal))
+    assert abs(steady_state(drive, ideal).s - s) <= 1e-12 * abs(s)
+
+
+def _scaled(drive, params, k):
+    """The same device and drive with every rate and the power times 10^k."""
+    scale = 10.0 ** k
+    rates = {name: getattr(params, name) * scale
+             for name in ("gamma", "kappa", "delta", "gamma_at", "gamma_cav",
+                          "gamma_star")}
+    return (DriveField.from_power(drive.delta_omega * scale,
+                                  drive.p_in * scale),
+            dataclasses.replace(params, **rates))
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=driven_systems(), k=st.integers(-290, 290))
+def test_kernel_invariants(system, k):
+    drive, params = system
+    st_ = steady_state(drive, params)
+    assert abs(st_.s) ** 2 + st_.s_z ** 2 <= 0.25 + 1e-15
+    out = scatter_nonlinear(drive, params)
+    assert out.cap_t >= 0.0 and out.cap_r >= 0.0
+    assert out.cap_t + out.cap_r <= 1.0 + 1e-12
+    # Only rate ratios enter: scaling every rate and the power by 10^k
+    # leaves t, r and s_z and scales P_c.
+    big_drive, big = _scaled(drive, params, k)
+    big_out = scatter_nonlinear(big_drive, big)
+    assert abs(big_out.t - out.t) <= 1e-12
+    assert abs(big_out.r - out.r) <= 1e-12
+    assert abs(steady_state(big_drive, big).s_z - st_.s_z) <= 1e-12
+    assert critical_power(big_drive.delta_omega, big) == pytest.approx(
+        10.0 ** k * critical_power(drive.delta_omega, params), rel=1e-12)

@@ -1,17 +1,18 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
-from onedatom import (DephasingUnsupported, DriveField, LeakyNotSupported,
-                      NonFiniteInput, NonPositiveRate,
-                      OffResonanceUnsupported, UnsupportedRegime,
-                      critical_power, make_params, params_from_ratios,
+from onedatom import (DriveField, LeakyNotSupported, NonFiniteInput,
+                      NonPositiveRate, UnsupportedRegime, critical_power,
+                      make_params, output_amplitudes, params_from_ratios,
                       phi_ideal, phi_leaky, resonance_extrema,
                       saturation_curve, saturation_point, scatter_nonlinear,
-                      scatter_steady, steady_state, susceptibility,
+                      settle, steady_state, susceptibility,
                       transmission_leaky)
 
 IDEAL = make_params(gamma=1.0, kappa=500.0)
@@ -50,10 +51,14 @@ def test_phi_positive_everywhere():
         assert phi_ideal(dw, p) > 0.0
 
 
-def test_critical_power_rejects_dephasing_in_leaky_branch():
+def test_critical_power_of_a_dephased_leaky_device():
+    # On resonance P_c = (gamma + gamma_at)(gamma + gamma_at + 2 gamma_star)
+    # / (4 gamma), and the ODE oracle driven there settles at s_z = -1/4.
     p = make_params(1.0, 500.0, gamma_at=0.1, gamma_star=0.05)
-    with pytest.raises(DephasingUnsupported):
-        critical_power(0.0, p)
+    p_c = critical_power(0.0, p)
+    assert p_c == pytest.approx(1.1 * 1.2 / 4.0, rel=1e-14)
+    res = settle(DriveField.from_power(0.0, p_c), p, 1e-10)
+    assert res.state.s_z == pytest.approx(-0.25, abs=1e-6)
 
 
 def test_steady_state_half_saturated():
@@ -75,13 +80,16 @@ def test_steady_state_leaky_resonant():
     assert st.s_z == pytest.approx(-0.25, rel=1e-12)
 
 
-def test_steady_state_leaky_off_resonance_unsupported():
-    p = params_from_ratios(1.0, 500.0, q_ratio=0.9, f=10.0)
-    with pytest.raises(UnsupportedRegime):
-        steady_state(DriveField.from_power(1.0, 0.1), p)
-    with pytest.raises(DephasingUnsupported):
-        steady_state(DriveField.from_power(0.0, 0.1),
-                     make_params(1.0, 500.0, gamma_star=0.1))
+def test_steady_state_leaky_off_resonance_matches_settle():
+    for drive, p in (
+            (DriveField.from_power(1.0, 0.1),
+             params_from_ratios(1.0, 500.0, q_ratio=0.9, f=10.0)),
+            (DriveField.from_power(0.0, 0.1),
+             make_params(1.0, 500.0, gamma_star=0.1))):
+        st = steady_state(drive, p)
+        ref = settle(drive, p, 1e-10).state
+        assert abs(st.s - ref.s) < 1e-6
+        assert abs(st.s_z - ref.s_z) < 1e-6
 
 
 def test_saturation_point_bookkeeping():
@@ -148,28 +156,37 @@ def test_scatter_nonlinear_leaky_limits():
     assert hi.cap_t == pytest.approx(ext.t_max, abs=1e-9)
 
 
-def test_scatter_nonlinear_rejects_off_resonance():
-    with pytest.raises(OffResonanceUnsupported):
-        scatter_nonlinear(DriveField.from_power(1.0, 0.1), IDEAL)
-    with pytest.raises(OffResonanceUnsupported):
-        scatter_nonlinear(DriveField.from_power(0.0, 0.1),
-                          make_params(1.0, 500.0, delta=5.0))
+def test_scatter_nonlinear_off_resonance_matches_susceptibility():
+    # Ideal device: s = sqrt(2/gamma) alpha b_in at x = P_in/((gamma/4) phi).
+    for dw, p in ((1.0, IDEAL), (0.0, make_params(1.0, 500.0, delta=5.0)),
+                  (-0.7, make_params(1.0, 500.0, delta=-250.0))):
+        drive = DriveField.from_power(dw, 0.1)
+        x = drive.p_in / (0.25 * p.gamma * phi_ideal(dw, p))
+        s = math.sqrt(2.0 / p.gamma) * susceptibility(dw, x, p) * drive.b_in
+        b_t, b_r = output_amplitudes(s, drive, p)
+        out = scatter_nonlinear(drive, p)
+        assert abs(out.t - b_t / drive.b_in) <= 1e-12 * abs(out.t)
+        assert abs(out.r - b_r / drive.b_in) <= 1e-12 * abs(out.r)
 
 
-def test_scatter_steady_matches_resonant_closed_form():
-    drive = DriveField.from_power(0.0, 0.25 * 3.0)
-    a = scatter_steady(drive, IDEAL)
-    b = scatter_nonlinear(drive, IDEAL)
-    assert abs(a.t - b.t) < 1e-12
-    assert abs(a.r - b.r) < 1e-12
+def test_scatter_nonlinear_resonant_amplitudes():
+    out = scatter_nonlinear(DriveField.from_power(0.0, 0.25 * 3.0), IDEAL)
+    assert abs(out.t - (-0.75)) < 1e-15
+    assert abs(out.r - 0.25) < 1e-15
 
 
-def test_scatter_steady_preconditions():
-    with pytest.raises(LeakyNotSupported):
-        scatter_steady(DriveField.from_power(1.0, 0.1),
-                       make_params(1.0, 500.0, gamma_at=0.1))
-    with pytest.raises(OffResonanceUnsupported):
-        scatter_steady(DriveField(1.0, 0.0), IDEAL)
+def test_zero_power_scatter_is_the_paper_linear_spectrum():
+    # t = (Q/Q0) t0' [-1 + t0'/(t0' + 1/f + (2i dw/gamma)(Q0/Q))], r = 1 + t,
+    # for a leaky, dephased, detuned device at any detuning.
+    p = make_params(1.0, 500.0, delta=30.0, gamma_at=0.1, gamma_cav=40.0,
+                    gamma_star=0.2)
+    q = p.q_ratio
+    for dw in (-3.0, 0.0, 0.4, 2.0):
+        t0p = 1.0 / (1.0 + 1j * q * (dw + p.delta) / p.kappa)
+        t = q * t0p * (-1.0 + t0p / (t0p + p.inv_f + 2j * dw / (q * p.gamma)))
+        out = scatter_nonlinear(DriveField(dw, 0.0), p)
+        assert abs(out.t - t) <= 1e-12 * abs(t)
+        assert abs(out.r - (1.0 + t)) <= 1e-12 * abs(1.0 + t)
 
 
 def test_saturation_curve_direct_value():
@@ -217,11 +234,11 @@ def test_zero_power_scatter_matches_linear_module():
         assert abs(nl.r - lin.r) < 1e-10
 
 
-def test_scatter_steady_noise_never_negative():
+def test_scatter_nonlinear_noise_never_negative():
     for dw in np.linspace(-4.0, 4.0, 17):
         for x in (0.01, 1.0, 50.0):
             drive = DriveField.from_power(dw, 0.25 * x)
-            out = scatter_steady(drive, IDEAL)
+            out = scatter_nonlinear(drive, IDEAL)
             assert out.p_noise >= -1e-12 * out.p_in
             assert out.p_t + out.p_r <= out.p_in * (1.0 + 1e-12)
 
@@ -258,12 +275,12 @@ def test_saturation_curve_agrees_with_scalar_drives():
 def test_array_drive_matches_scalar_drives():
     p = make_params(1.0, 500.0, delta=-250.0)
     dw = np.linspace(-4.0, 4.0, 33)
-    swept = scatter_steady(DriveField.from_power(dw, 0.6), p)
+    swept = scatter_nonlinear(DriveField.from_power(dw, 0.6), p)
     state = steady_state(DriveField.from_power(dw, 0.6), p)
     assert swept.t.shape == state.s.shape == dw.shape
     for i, d in enumerate(dw):
         drive = DriveField.from_power(d, 0.6)
-        one = scatter_steady(drive, p)
+        one = scatter_nonlinear(drive, p)
         assert abs(swept.t[i] - one.t) <= 1e-15 * max(1.0, abs(one.t))
         assert abs(swept.r[i] - one.r) <= 1e-15 * max(1.0, abs(one.r))
         assert swept.p_noise[i] == pytest.approx(one.p_noise, rel=1e-12,
@@ -276,8 +293,31 @@ def test_array_drive_validation_names_the_field():
         DriveField.from_power(np.array([0.0, 1.0, np.nan]), 0.1)
     with pytest.raises(NonPositiveRate, match="p_in.*index 1"):
         DriveField.from_power(0.0, np.array([0.1, -0.1]))
-    with pytest.raises(OffResonanceUnsupported):
-        scatter_nonlinear(DriveField.from_power(np.array([0.0, 1.0]), 0.1),
-                          IDEAL)
-    with pytest.raises(OffResonanceUnsupported):
-        scatter_steady(DriveField.from_power(1.0, np.array([0.1, 0.0])), IDEAL)
+    # Mixed detunings and a zero power are values, entry by entry.
+    swept = scatter_nonlinear(DriveField.from_power(np.array([0.0, 1.0]), 0.1),
+                              IDEAL)
+    assert swept.t.tolist() == [
+        scatter_nonlinear(DriveField.from_power(dw, 0.1), IDEAL).t
+        for dw in (0.0, 1.0)]
+    powers = scatter_nonlinear(
+        DriveField.from_power(1.0, np.array([0.1, 0.0])), IDEAL)
+    assert powers.t[1] == transmission_leaky(1.0, IDEAL).t
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "onedatom"
+
+
+def test_special_case_formulas_are_not_production_paths():
+    # Every steady state, transmission and critical power comes from the
+    # one kernel; the paper's special-case formulas stay as test oracles.
+    oracles = {"phi_ideal", "phi_leaky", "susceptibility"}
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    getattr(func, "attr", None)
+                if name in oracles:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
