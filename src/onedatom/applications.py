@@ -178,6 +178,16 @@ def contrast_enhancement(x, extinction_in, params: SystemParams) -> ReshapeResul
                          c_leaky=c_leaky.reshape(xs.shape))
 
 
+def _in_float_range(name, value):
+    """``value``, the result ``name`` of a Kerr-comparison formula of
+    positive inputs, unless it overflowed to inf (a product in a
+    denominator that underflowed to 0 counts as inf), underflowed to 0 or
+    is NaN."""
+    if not 0.0 < value < math.inf:
+        raise UnsupportedRegime(f"{name} = {value} is outside the float range")
+    return value
+
+
 def kerr_equivalent(lambda_um, n2_cm2_per_w, intensity_w_per_cm2) -> float:
     """Length (meters) of a Kerr medium giving a pi nonlinear phase shift.
 
@@ -186,15 +196,18 @@ def kerr_equivalent(lambda_um, n2_cm2_per_w, intensity_w_per_cm2) -> float:
     if lambda_um <= 0.0 or n2_cm2_per_w <= 0.0 or intensity_w_per_cm2 <= 0.0:
         raise NonPositiveRate("kerr_equivalent inputs must be > 0")
     lambda_cm = lambda_um * 1e-4
-    return lambda_cm / (2.0 * n2_cm2_per_w * intensity_w_per_cm2) * 1e-2
+    denominator = 2.0 * n2_cm2_per_w * intensity_w_per_cm2
+    return _in_float_range("length_m", lambda_cm / denominator * 1e-2
+                           if denominator else math.inf)
 
 
 def critical_power_watts(gamma_per_s, lambda_um) -> float:
     """Resonant critical power gamma/4 photons/s converted to watts."""
     if gamma_per_s <= 0.0 or lambda_um <= 0.0:
         raise NonPositiveRate("gamma and lambda must be > 0")
-    photon_energy = PLANCK_J_S * C_LIGHT_M_S / (lambda_um * 1e-6)
-    return 0.25 * gamma_per_s * photon_energy
+    lambda_m = lambda_um * 1e-6
+    photon_energy = PLANCK_J_S * C_LIGHT_M_S / lambda_m if lambda_m else math.inf
+    return _in_float_range("p_c_watts", 0.25 * gamma_per_s * photon_energy)
 
 
 def switching_intensity(p_c_watts, sigma_cm2, jump_factor=10.0) -> float:
@@ -205,4 +218,4 @@ def switching_intensity(p_c_watts, sigma_cm2, jump_factor=10.0) -> float:
     """
     if p_c_watts <= 0.0 or sigma_cm2 <= 0.0 or jump_factor <= 0.0:
         raise NonPositiveRate("switching_intensity inputs must be > 0")
-    return jump_factor * p_c_watts / sigma_cm2
+    return _in_float_range("i_pi_w_per_cm2", jump_factor * p_c_watts / sigma_cm2)

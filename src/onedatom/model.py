@@ -272,8 +272,11 @@ def outcome_from_amplitudes(t, r, p_in) -> ScatteringOutcome:
     """
     t = _complex(t)
     r = _complex(r)
-    cap_t = abs(t) ** 2
-    cap_r = abs(r) ** 2
-    p_t = cap_t * p_in
-    p_r = cap_r * p_in
+    # An amplitude that left the float range gives NaN here, silently: the
+    # CLI refuses a NaN column with its own message.
+    with np.errstate(invalid="ignore"):
+        cap_t = abs(t) ** 2
+        cap_r = abs(r) ** 2
+        p_t = cap_t * p_in
+        p_r = cap_r * p_in
     return ScatteringOutcome(t, r, cap_t, cap_r, p_t, p_r, p_in - p_t - p_r)

@@ -172,6 +172,22 @@ def test_kerr_preconditions():
         critical_power_watts(-1.0, 1.0)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: kerr_equivalent(1.0, 1e-320, 1.0), "length_m = inf"),
+    (lambda: kerr_equivalent(1.0, 1e-13, 1e-320), "length_m = inf"),
+    (lambda: kerr_equivalent(1.0, 1e300, 1e300), "length_m = 0.0"),
+    (lambda: critical_power_watts(1e308, 1e-300), "p_c_watts = inf"),
+    (lambda: critical_power_watts(1e10, 1e-320), "p_c_watts = inf"),
+    (lambda: switching_intensity(1e308, 1e-300), "i_pi_w_per_cm2 = inf"),
+    (lambda: switching_intensity(1e-9, 1e-8, 1e-320), "i_pi_w_per_cm2 = 0.0"),
+])
+def test_kerr_results_outside_the_float_range_are_refused(call, name):
+    # Positive inputs whose result overflows (or whose denominator
+    # underflows) or underflows to 0 were once returned as inf or 0.
+    with pytest.raises(UnsupportedRegime, match=name):
+        call()
+
+
 def test_reshape_array_matches_scalar_calls_bit_for_bit():
     xs = np.concatenate(([0.0], np.logspace(-3, 2, 60)))
     for params in (IDEAL, params_from_ratios(1.0, 500.0, 0.96, 100.0)):

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import onedatom
-from onedatom import (DriveField, cli, make_params, pillar,
+from onedatom import (DriveField, cli, dynamics, make_params, pillar,
                       scatter_nonlinear, transmission_leaky)
 from onedatom.cli import parse_grid, run
 
@@ -465,8 +467,9 @@ def test_float_format_17_digits(tmp_path):
     (["reshape", "--x-grid", "log:-400:0:3"], "--x-grid"),
     (["bistability", "--x-grid", "log:nan:1:3"], "--x-grid"),
     (["reshape", "--extinction", "nan"], "--extinction"),
-    (["dynamics", "--x", "nan"], "--x/--power"),
-    (["dynamics", "--power", "inf"], "--x/--power"),
+    # A non-finite --x or --power is a range error of its own flag now.
+    (["dynamics", "--x", "-1"], "--x/--power"),
+    (["dynamics", "--x", "1e308", "--gamma", "1e10"], "--x/--power"),
     (["spectrum", "--grid", "0:1:100000000000000"], "--grid"),
     (["bistability", "--gamma-over-kappa", "1e308"],
      "--gamma-over-kappa/--kappa/--x-grid"),
@@ -484,6 +487,11 @@ def test_float_format_17_digits(tmp_path):
      "--gamma-over-kappa/--kappa/--x-grid"),
     (["bistability", "--gamma", "1e-300", "--x-grid", "log:-10:0:3"],
      "--gamma/--x-grid"),
+    # The low pulse x/extinction (was c_leaky = inf on every row, exit 0).
+    (["reshape", "--extinction", "1e308", "--x-grid", "log:-3:2:5"],
+     "--gamma-over-kappa/--kappa/--x-grid/--extinction"),
+    (["dynamics", "--x", "nan"], "--x"),
+    (["dynamics", "--power", "inf"], "--power"),
 ])
 def test_non_finite_grids_and_drives_are_usage_errors(tmp_path, capsys,
                                                       argv, flag):
@@ -688,8 +696,11 @@ def test_slowlight_huge_f_has_a_finite_half_power_count(tmp_path):
     ["spectrum", "--kappa", "1e-308", "--grid", "-1:1:5"]])
 def test_nan_columns_are_domain_errors(tmp_path, capsys, argv):
     out = tmp_path / "o.csv"
-    assert run(argv + ["--out", str(out)]) == 3
-    assert "spectrum: column re_t holds NaN" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no numpy warning either
+        assert run(argv + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: spectrum: column re_t holds NaN; no output written\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -703,6 +714,85 @@ def test_kerr_inputs_must_be_finite_and_positive(tmp_path, capsys, flag,
     assert run(["kerr", flag, value, "--out", str(out)]) == 2
     assert f"{flag} must be finite and > 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, result", [
+    (["--n2-cm2-per-w", "1e-320"], "length_m"),
+    (["--pc-watts", "1e308", "--sigma-cm2", "1e-300"], "i_pi_w_per_cm2")])
+def test_kerr_results_outside_the_float_range_are_domain_errors(
+        tmp_path, capsys, argv, result):
+    out = tmp_path / "kerr.csv"
+    assert run(["kerr", *argv, "--out", str(out)]) == 3
+    assert f"error: {result} = inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def out_of_range_values():
+    """(subcommand, flag, value) from the option table: NaN and one value
+    past each finite bound of every numeric option (of each number of a
+    list option), and a value outside every set of strings."""
+    for name, (_, rows, _) in cli._COMMANDS.items():
+        for flag, kind, _, rng, _, _ in rows:
+            if isinstance(rng, tuple):
+                yield name, flag, "none-of-these"
+            if not isinstance(rng, str):
+                continue
+            yield name, flag, "nan"
+            lo, hi = (float(b) for b in rng[1:-1].split(","))
+            for bound, closed, away in ((lo, rng[0] == "[", -math.inf),
+                                        (hi, rng[-1] == "]", math.inf)):
+                if not math.isfinite(bound):
+                    continue
+                past = bound
+                if closed:
+                    past = (bound + math.copysign(1.0, away) if kind is int
+                            else math.nextafter(bound, away))
+                yield name, flag, repr(past)
+            if kind is int:
+                yield name, flag, repr(lo + 0.5)
+
+
+@pytest.mark.parametrize("name, flag, value", list(out_of_range_values()))
+def test_out_of_range_values_are_usage_errors(tmp_path, capsys, name, flag,
+                                              value):
+    assert run([name, *CHEAP_CALLS[name], flag, value,
+                "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"error: {flag} must" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    # Each exited 3 naming gamma_star, gamma, lambda_0 or fraction_a.
+    ["spectrum", "--gamma-star", "-1"], ["slowlight", "--kappa", "-1"],
+    ["pillar", "--q0", "1000", "--wavelength", "-1"],
+    ["bistability", "--fraction-a-list", "2"]])
+def test_library_range_errors_name_the_flag(tmp_path, capsys, argv):
+    assert run([*argv, "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"error: {argv[-2]} must" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_each_option_is_declared_by_one_table_row():
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    calls = {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "add_argument"}
+    builder = next(node for node in tree.body
+                   if getattr(node, "name", None) == "build_parser")
+    assert calls and calls <= set(ast.walk(builder))
+    for name, (_, rows, _) in cli._COMMANDS.items():
+        sub = next(a for a in cli.build_parser([name])._actions
+                   if a.dest == "command").choices[name]
+        flags = [s for a in sub._actions for s in a.option_strings]
+        assert flags == ["-h", "--help"] + [
+            row[0] for row in rows + cli._COMMON], name
+    # The table holds library constants without importing their modules.
+    pillar_rows = {row[0]: row for row in cli._COMMANDS["pillar"][1]}
+    assert pillar_rows["--objective"][3] == pillar.OBJECTIVES
+    assert [pillar_rows[f][2] for f in ("--epsilon", "--wavelength",
+                                        "--n-index")] == [
+        pillar.DEFAULT_EPSILON, pillar.DEFAULT_WAVELENGTH,
+        pillar.DEFAULT_N_INDEX]
+    assert cli._RTOL_MIN == dynamics.RTOL_MIN
 
 
 def _flag_arities():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -48,9 +48,19 @@ def test_smatrix_empty_cavity_point():
     assert -empty_cavity_t0(0.0, IDEAL) == -1.0
 
 
-def test_smatrix_unitarity_at_arbitrary_point():
-    p = make_params(gamma=1.0, kappa=500.0, delta=-250.0)
-    S = scattering_matrix_ideal(50.0, p)
+@settings(max_examples=300, deadline=None)
+@given(gamma_exp=st.floats(-3.0, 3.0), kappa_exp=st.floats(-1.0, 4.0),
+       dw_exp=st.floats(-4.0, 4.0), dw_sign=st.sampled_from((-1.0, 1.0)),
+       delta_over_kappa=st.floats(-10.0, 10.0))
+@example(0.0, math.log10(500.0), math.log10(50.0), 1.0, -0.5)
+def test_smatrix_unitarity_at_arbitrary_point(gamma_exp, kappa_exp, dw_exp,
+                                              dw_sign, delta_over_kappa):
+    # Random ideal systems: gamma, kappa/gamma and |dw|/gamma log-uniform
+    # over bounded ratios, and a cavity detuning of up to 10 kappa.
+    gamma = 10.0 ** gamma_exp
+    kappa = gamma * 10.0 ** kappa_exp
+    p = make_params(gamma, kappa, delta=delta_over_kappa * kappa)
+    S = scattering_matrix_ideal(dw_sign * gamma * 10.0 ** dw_exp, p)
     assert np.max(np.abs(S.conj().T @ S - np.eye(2))) < 1e-12
     assert abs(abs(np.linalg.det(S)) - 1.0) < 1e-12
 
