@@ -1,4 +1,4 @@
-"""Application-level calculators built on the linear and nonlinear modules.
+"""Application-level calculators built on the steady-state kernel.
 
 Slow-light group delay, bistability exclusion, pulse-contrast reshaping,
 and the equivalent-Kerr-medium comparison.
@@ -11,11 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DephasingUnsupported, NonPositiveRate,
-                     UnsupportedRegime)
-from .model import DriveField, SystemParams
-from .linear import transmission_leaky
-from .nonlinear import scatter_nonlinear
+from .errors import DephasingUnsupported, NonPositiveRate, UnsupportedRegime
+from .linear import _fixed_point, transmission_leaky
+from .model import SystemParams
 
 PLANCK_J_S = 6.62607015e-34
 C_LIGHT_M_S = 2.99792458e8
@@ -56,24 +54,18 @@ def slow_light(params: SystemParams, n_stages=1) -> SlowLightResult:
     beta = params.beta
     f = params.f_ratio
     delay = 2.0 * beta / params.gamma
-
     h = params.gamma / 1e3
-    t_minus = transmission_leaky(-h, params, evanescent=True).t
-    t_plus = transmission_leaky(+h, params, evanescent=True).t
-    ph = np.unwrap([np.angle(t_minus), np.angle(t_plus)])
+    t = transmission_leaky(np.array([-h, h]), params, evanescent=True).t
+    ph = np.unwrap(np.angle(t))
     # Group delay d(arg t)/d omega with delta_omega = omega_0 - omega.
     delay_numeric = -(ph[1] - ph[0]) / (2.0 * h)
 
     t_stage = beta * beta
-    if params.f_is_infinite:
-        n_half = math.inf
-        total = math.inf
-    else:
-        n_half = 0.5 * math.log(2.0) / math.log1p(1.0 / f)
-        total = n_half * delay
+    n_half = (math.inf if params.f_is_infinite
+              else 0.5 * math.log(2.0) / math.log1p(1.0 / f))
     return SlowLightResult(
         f=f, beta=beta, delay_analytic=delay, delay_numeric=delay_numeric,
-        t_per_stage=t_stage, n_half=n_half, total_delay_at_n_half=total,
+        t_per_stage=t_stage, n_half=n_half, total_delay_at_n_half=n_half * delay,
         n_stages=int(n_stages), delay_after_stages=n_stages * delay,
         t_after_stages=t_stage ** n_stages)
 
@@ -92,40 +84,43 @@ class BistabilityResult:
     unique_solution: bool
 
 
-def _transmitted_fraction(x):
-    return x ** 3 / (1.0 + x) ** 2
-
-
 def bistability_scan(params: SystemParams, fraction_a, x_grid) -> BistabilityResult:
     """Scan dP_t/dP_e over the drive range and test the feedback loop.
 
     The loop P_e = P_0 + A P_t(P_e) can only be bistable if the slope
-    dP_t/dP_e exceeds 1 somewhere.  The scan evaluates the closed-form
-    slope x^2 (3+x)/(1+x)^3 and a central-difference slope on the grid, and
-    declares a unique solution when P_0(P_e) = P_e - A P_t(P_e) is strictly
-    increasing over the grid.
+    dP_t/dP_e exceeds 1 somewhere.  P_e = (gamma/4) x drives the resonance;
+    `_fixed_point` gives P_t = P_e |t|^2, x_eff = P_e/P_c and, through
+    dt/dx_eff = (t_inf - t)/(1 + x_eff) with t_inf = -(Q/Q0) t0'(0),
+    dP_t/dP_e = |t|^2 + 2 x_eff Re(conj(t) (t_inf - t))/(1 + x_eff); two
+    more calls give a central difference (step 1e-5 (1+x)).  A fraction A
+    gives a unique solution if P_0 = P_e - A P_t increases strictly over the
+    grid; an array ``fraction_a`` gives arrays of fractions and verdicts.
     """
-    if not params.is_ideal:
-        raise UnsupportedRegime("bistability_scan uses the ideal resonant closed form")
-    if not 0.0 <= fraction_a < 1.0:
+    a = np.asarray(fraction_a, dtype=float)
+    if not np.all((0.0 <= a) & (a < 1.0)):
         raise NonPositiveRate(f"fraction_a must be in [0, 1), got {fraction_a}")
     x = np.asarray(x_grid, dtype=float)
     if x.size < 2 or np.any(x <= 0.0) or np.any(np.diff(x) <= 0.0):
         raise NonPositiveRate("x_grid must be positive, sorted, len >= 2")
     quarter_gamma = 0.25 * params.gamma
-    p_e = quarter_gamma * x
-    p_t = quarter_gamma * _transmitted_fraction(x)
-    slope_analytic = x ** 2 * (3.0 + x) / (1.0 + x) ** 3
     h = 1e-5 * (1.0 + x)
-    slope_numeric = (_transmitted_fraction(x + h)
-                     - _transmitted_fraction(x - h)) / (2.0 * h)
-    p_0 = p_e - fraction_a * p_t
-    unique = bool(np.all(np.diff(p_0) > 0.0))
+    p_t_hi, p_t_lo = (p * np.abs(_fixed_point(0.0, np.sqrt(p), params)[4]) ** 2
+                      for p in (quarter_gamma * (x + h), quarter_gamma * (x - h)))
+    slope_numeric = (p_t_hi - p_t_lo) / (2.0 * quarter_gamma * h)
+    p_e = quarter_gamma * x
+    _, x_eff, _, _, t, _ = _fixed_point(0.0, np.sqrt(p_e), params)
+    cap_t = np.abs(t) ** 2
+    p_t = p_e * cap_t
+    t_inf = transmission_leaky(0.0, params, empty_cavity=True).t
+    slope_analytic = cap_t + 2.0 * x_eff * (
+        t.conjugate() * (t_inf - t)).real / (1.0 + x_eff)
+    p_0 = p_e - a[..., None] * p_t
+    unique = np.all(np.diff(p_0, axis=-1) > 0.0, axis=-1)
     return BistabilityResult(
-        fraction_a=float(fraction_a), x=x, p_e=p_e, p_t=p_t,
+        fraction_a=a.tolist() if a.ndim == 0 else a, x=x, p_e=p_e, p_t=p_t,
         slope_analytic=slope_analytic, slope_numeric=slope_numeric,
         max_slope=float(max(slope_analytic.max(), slope_numeric.max())),
-        unique_solution=unique)
+        unique_solution=unique.tolist() if a.ndim == 0 else unique)
 
 
 @dataclass(frozen=True)
@@ -138,11 +133,6 @@ class ReshapeResult:
     c_leaky: float
 
 
-def _resonant_transmission(x, params):
-    drive = DriveField.from_power(0.0, 0.25 * x * params.gamma)
-    return scatter_nonlinear(drive, params).cap_t
-
-
 def contrast_enhancement(x, extinction_in, params: SystemParams) -> ReshapeResult:
     """Contrast enhancement of a two-level pulse pair sent through the device.
 
@@ -152,30 +142,30 @@ def contrast_enhancement(x, extinction_in, params: SystemParams) -> ReshapeResul
         c_ideal = d ((1+x)/(1+x/d))^2,   d = extinction_in,
 
     maximal sensitivity to the input contrast as x -> 0 where it tends to
-    d.  The leaky ratio uses the resonant transmission of the actual
-    system, c_leaky = (1/d) T(x) / T(x/d); at x = 0 it is evaluated in the
-    limit (d for the ideal system, 1/d otherwise).  ``x`` may be an array
-    of saturations, evaluated in one call; a scalar gives Python floats.
+    d.  The leaky ratio c_leaky = (1/d) T(x)/T(x/d) is taken as
+    (|t(x)/t(x/d)|/sqrt(d))^2 from the kernel's resonant amplitudes; at
+    x = 0 it is the limit, d if t(0) = 0 (no emitter loss), else 1/d.
+    ``x`` may be an array of saturations, evaluated in one call; a scalar
+    gives Python floats.
     """
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0):
         raise NonPositiveRate(f"x must be >= 0, got {xs.min()}")
     if not extinction_in > 1.0:
-        raise NonPositiveRate(
-            f"extinction_in must be > 1, got {extinction_in}")
+        raise NonPositiveRate(f"extinction_in must be > 1, got {extinction_in}")
     d = float(extinction_in)
     flat = xs.reshape(-1)
     c_ideal = d * ((1.0 + flat) / (1.0 + flat / d)) ** 2
-    # T(0) = 0 for the ideal system: 0/0 at x = 0, replaced by the limit.
+    drive = np.sqrt(0.25 * params.gamma * np.stack((flat, flat / d)))
+    *_, t, _ = _fixed_point(0.0, drive, params)
+    # t(0) = 0 without emitter losses: 0/0 at x = 0, replaced by the limit.
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = (_resonant_transmission(flat, params)
-                 / _resonant_transmission(flat / d, params)) / d
-    c_leaky = np.where(flat == 0.0, d if params.is_ideal else 1.0 / d, ratio)
+        ratio = (np.abs(t[0] / t[1]) / math.sqrt(d)) ** 2
+    c_leaky = np.where(flat == 0.0, d if params.loss_rate == 0.0 else 1.0 / d,
+                       ratio)
     if xs.ndim == 0:
-        return ReshapeResult(x=xs.item(), extinction_in=d,
-                             c_ideal=c_ideal.item(), c_leaky=c_leaky.item())
-    return ReshapeResult(x=xs, extinction_in=d, c_ideal=c_ideal.reshape(xs.shape),
-                         c_leaky=c_leaky.reshape(xs.shape))
+        return ReshapeResult(xs.item(), d, c_ideal.item(), c_leaky.item())
+    return ReshapeResult(xs, d, c_ideal.reshape(xs.shape), c_leaky.reshape(xs.shape))
 
 
 def _in_float_range(name, value):

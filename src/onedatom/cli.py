@@ -377,8 +377,12 @@ def _cmd_slowlight(ns, parser):
                    params_from_ratios(gamma, ns.kappa, f=f),
                    n_stages=ns.n_stages)
                for f in _parse_list(ns.f_list)]
+    band = 0.02         # the numeric delay confirms 2 beta/gamma within 2%
+    outside = [r.f for r in results
+               if not abs(r.delay_numeric / r.delay_analytic - 1.0) <= band]
     return header, [[getattr(r, k) for r in results] for k in header], {
-        "options": {"gamma": gamma}}
+        "options": {"gamma": gamma},
+        "diagnostics": {"delay_band": band, "f_outside_delay_band": outside}}
 
 
 def _cmd_bistability(ns, parser):
@@ -386,16 +390,14 @@ def _cmd_bistability(ns, parser):
     grid = _grid_option(parser, "--x-grid", ns.x_grid)
     params = _build_params(ns, parser)
     _check_drive(parser, ns, "--x-grid", grid, params.gamma)
-    scans = [applications.bistability_scan(params, a, grid)
-             for a in _parse_list(ns.fraction_a_list)]
-    first = scans[0]
+    scan = applications.bistability_scan(
+        params, _parse_list(ns.fraction_a_list), grid)
     header = ("x", "p_e", "p_t", "slope_analytic", "slope_numeric")
-    return header, [getattr(first, k) for k in header], {
+    return header, [getattr(scan, k) for k in header], {
         "derived": _params_view(params),
-        "results": {
-            "max_slope": first.max_slope,
-            "verdicts": {format(s.fraction_a, "g"): s.unique_solution
-                         for s in scans}}}
+        "results": {"max_slope": scan.max_slope, "verdicts": {
+            format(a, "g"): unique for a, unique in zip(
+                scan.fraction_a.tolist(), scan.unique_solution.tolist())}}}
 
 
 def _cmd_reshape(ns, parser):

@@ -9,7 +9,7 @@ paper's closed forms for the unsaturated system (s_z = -1/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -87,13 +87,18 @@ def _fixed_point(delta_omega, b_in, params: SystemParams):
           = q t0' (gamma + u (e + 2dx))/(2d(1+x)),
 
     with u = (gamma_cav/2 + i(dw + delta))/kappa.  P_c is taken as a product
-    of rate ratios, so no rate is squared.  Returns (p_c, x, s_z, s, t, r)
-    shaped like the broadcast inputs (Python numbers for scalars); x = 0 at
-    zero drive, and a limit beyond the float range gives NaN.
+    of rate ratios, and every rate is scaled by the power of four 4^-k
+    nearest 1/kappa (b_in by 2^-k, both exact), so no rate is squared or
+    leaves the float range.  Returns (p_c, x, s_z, s, t, r) shaped like the
+    broadcast inputs (Python numbers for scalars); x = 0 at zero drive, and
+    a limit beyond the float range gives NaN.
     """
-    dw, b_in = np.broadcast_arrays(np.asarray(delta_omega, dtype=float),
-                                   np.asarray(b_in, dtype=complex))
-    shape, dw, b_in = dw.shape, dw.reshape(-1), b_in.reshape(-1)
+    shape = np.broadcast_shapes(np.shape(delta_omega), np.shape(b_in))
+    k = math.frexp(params.kappa)[1] // 2
+    dw = np.ldexp(np.atleast_1d(np.asarray(delta_omega, dtype=float)), -2 * k)
+    b_in = np.atleast_1d(np.asarray(b_in, dtype=complex)) * math.ldexp(1.0, -k)
+    params = SystemParams(*(math.ldexp(getattr(params, f.name), -2 * k)
+                            for f in fields(params)))
     gamma = params.gamma
     with np.errstate(all="ignore"):
         qt0 = params.q_ratio * t0_prime(dw, params)
@@ -102,20 +107,21 @@ def _fixed_point(delta_omega, b_in, params: SystemParams):
         relax = gamma * qt0.real + params.gamma_at
         m = np.abs(d) / np.abs(qt0)
         p_c = relax / (2.0 * d.real) * m * (m / gamma)
+        u = (0.5 * params.gamma_cav + 1j * (dw + params.delta)) / params.kappa
         p_in = np.abs(b_in) ** 2
-        x = np.divide(p_in, p_c, out=np.zeros_like(p_in), where=p_in > 0.0)
+        x = np.where(p_in > 0.0, p_in / p_c, 0.0)
         one_x = 1.0 + x
         s_z = -0.5 / one_x
         s = 1j * (math.sqrt(0.5 * gamma) * qt0 * b_in) / (d * one_x)
         num = e + 2.0 * d * x
         den = 2.0 * d * one_x
-        u = (0.5 * params.gamma_cav + 1j * (dw + params.delta)) / params.kappa
         t = -qt0 * num / den
         r = qt0 * (gamma + u * num) / den
+        p_c = np.ldexp(np.broadcast_to(p_c, x.shape), 2 * k)
     columns = (p_c, x, s_z, s, t, r)
     if not shape:
         return tuple(c.item() for c in columns)
-    return tuple(c.reshape(shape) for c in columns)
+    return columns
 
 
 def transmission_leaky(delta_omega, params: SystemParams, *,

@@ -185,7 +185,7 @@ def _sweep(design: PillarDesign, d: np.ndarray,
                    * design.epsilon / d)
         # V = (lambda/n) pi d^2 / 8, F_p = (3 Q / (4 pi^2 V)) (lambda/n)^3
         v = lam_n * math.pi * np.float_power(d, 2) / 8.0
-        fp = 3.0 * q * lam_n ** 3 / (4.0 * math.pi ** 2 * v)
+        fp = 3.0 * q * np.float_power(lam_n, 3) / (4.0 * math.pi ** 2 * v)
         f = fp / (design.loss_ratio + 2.0 * design.gamma_star_ratio)
         # Q <= Q0; the clip only removes the last-bit excess 1/(1/Q0) can carry.
         q_ratio = np.minimum(q / design.q0, 1.0)

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from onedatom import (DephasingUnsupported, NonPositiveRate,
                       UnsupportedRegime, bistability_scan,
                       contrast_enhancement, critical_power_watts,
-                      kerr_equivalent, make_params, params_from_ratios,
-                      slow_light, switching_intensity)
+                      empty_cavity_t0, kerr_equivalent, make_params,
+                      params_from_ratios, slow_light, switching_intensity,
+                      t0_prime)
 
 IDEAL = make_params(gamma=1.0, kappa=500.0)
 
@@ -79,12 +83,103 @@ def test_bistability_slope_formula_vs_numeric():
 
 
 def test_bistability_preconditions():
-    with pytest.raises(UnsupportedRegime):
-        bistability_scan(make_params(1.0, 500.0, gamma_at=0.1), 0.5, [1.0, 2.0])
     with pytest.raises(NonPositiveRate):
         bistability_scan(IDEAL, 1.0, [1.0, 2.0])
     with pytest.raises(NonPositiveRate):
         bistability_scan(IDEAL, 0.5, [2.0, 1.0])
+
+
+def ideal_p_t(params, x):
+    """The ideal resonant (gamma/4) x^3/(1+x)^2, the paper's P_t(P_e)."""
+    return 0.25 * params.gamma * x ** 3 / (1.0 + x) ** 2
+
+
+def test_bistability_follows_the_detuned_cavity():
+    # The detuned cavity keeps P_c = gamma/4 on resonance but transmits
+    # only |t0(0)|^2 = 0.8 of the ideal P_t.
+    p = make_params(0.002, 1.0, delta=0.5)
+    grid = np.logspace(-3, 4, 301)
+    scan = bistability_scan(p, 0.5, grid)
+    t0_sq = abs(empty_cavity_t0(0.0, p)) ** 2
+    assert t0_sq == pytest.approx(0.8, rel=1e-15)
+    assert_allclose(scan.p_t, t0_sq * ideal_p_t(p, grid), rtol=1e-13, atol=0)
+    assert_allclose(scan.slope_analytic,
+                    t0_sq * grid ** 2 * (3.0 + grid) / (1.0 + grid) ** 3,
+                    rtol=1e-13, atol=0)
+
+
+def test_bistability_ideal_scan_is_the_closed_form():
+    grid = np.logspace(-3, 4, 2001)
+    scan = bistability_scan(IDEAL, 0.5, grid)
+    assert_allclose(scan.p_e, 0.25 * IDEAL.gamma * grid, rtol=0, atol=0)
+    assert_allclose(scan.p_t, ideal_p_t(IDEAL, grid), rtol=1e-14, atol=0)
+    assert_allclose(scan.slope_analytic,
+                    grid ** 2 * (3.0 + grid) / (1.0 + grid) ** 3,
+                    rtol=1e-14, atol=0)
+
+
+@st.composite
+def lossy_detuned_devices(draw):
+    p = params_from_ratios(
+        draw(st.floats(1e-4, 0.1)), 1.0, q_ratio=draw(st.floats(0.3, 1.0)),
+        f=draw(st.one_of(st.just(math.inf), st.floats(0.1, 1e4))),
+        delta=draw(st.floats(-3.0, 3.0)))
+    return make_params(p.gamma, p.kappa, delta=p.delta, gamma_at=p.gamma_at,
+                       gamma_cav=p.gamma_cav,
+                       gamma_star=draw(st.floats(0.0, 0.5)) * p.gamma)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=lossy_detuned_devices())
+def test_bistability_slope_of_any_device_stays_below_t_max(p):
+    # dP_t/dP_e rises towards the saturated transmission
+    # T_max = q^2 |t0'(0)|^2 <= 1 and never reaches it: no leak, dephasing
+    # or detuning makes the feedback loop bistable.  The margin
+    # 1 - slope/T_max ~ 3/x^2 is resolved up to x = 1e5.
+    grid = np.logspace(-3, 8, 1101)
+    scan = bistability_scan(p, [0.5, 0.99], grid)
+    t_max = p.q_ratio ** 2 * abs(t0_prime(0.0, p)) ** 2
+    assert np.max(np.abs(scan.slope_analytic - scan.slope_numeric)) < 1e-8
+    assert np.all(scan.slope_analytic >= 0.0)
+    assert np.all(scan.slope_analytic[grid <= 1e5] < t_max)
+    assert np.all(scan.slope_analytic <= t_max * (1.0 + 1e-12))
+    assert scan.unique_solution.tolist() == [True, True]
+
+
+def test_kernel_drive_derivative_symbolically():
+    # t(x) = -q t0' (e + 2 d x)/(2 d (1+x)) of the kernel has
+    # dt/dx = (t_inf - t)/(1+x) with t_inf = -q t0', and
+    # d(x |t|^2)/dx = |t|^2 + 2 x Re(conj(t) (t_inf - t))/(1+x).
+    x = sympy.Symbol("x", positive=True)
+    qt0, e, d = sympy.symbols("qt0 e d")
+    t = -qt0 * (e + 2 * d * x) / (2 * d * (1 + x))
+    t_inf = -qt0
+    assert sympy.simplify(sympy.diff(t, x) - (t_inf - t) / (1 + x)) == 0
+    # The same for P = x |t|^2 with t = (t_0 + t_inf x)/(1+x) in real parts.
+    a, b, c, g = sympy.symbols("a b c g", real=True)
+    t0, ti = a + sympy.I * b, c + sympy.I * g
+    t = (t0 + ti * x) / (1 + x)
+    power = x * t * sympy.conjugate(t)
+    slope = t * sympy.conjugate(t) + 2 * x * sympy.re(
+        sympy.conjugate(t) * (ti - t)) / (1 + x)
+    assert sympy.simplify(sympy.expand(sympy.diff(power, x) - slope)) == 0
+
+
+def test_bistability_takes_an_array_of_fractions():
+    grid = np.logspace(-3, 4, 401)
+    p = make_params(0.002, 1.0, gamma_at=1e-4, delta=0.2)
+    fractions = [0.1, 0.5, 0.9, 0.99]
+    scan = bistability_scan(p, fractions, grid)
+    assert scan.fraction_a.tolist() == fractions
+    for i, a in enumerate(fractions):
+        one = bistability_scan(p, a, grid)
+        assert type(one.fraction_a) is float
+        assert type(one.unique_solution) is bool
+        assert one.unique_solution == scan.unique_solution[i]
+        assert one.p_t.tobytes() == scan.p_t.tobytes()
+        assert one.max_slope == scan.max_slope
+    with pytest.raises(NonPositiveRate):
+        bistability_scan(p, [0.5, 1.0], grid)
 
 
 def test_reshape_low_power_limit_is_extinction_ratio():
@@ -129,6 +224,17 @@ def test_reshape_small_f_gives_no_enhancement():
     best = max(contrast_enhancement(x, 100.0, p).c_leaky
                for x in np.logspace(-3, 2, 101))
     assert best < 1.0
+
+
+def test_reshape_limit_follows_the_zero_drive_amplitude():
+    # A lossy cavity (Q < Q0) with a lossless emitter still has t(0) = 0 on
+    # resonance, so the x = 0 limit is d, next to its x -> 0 values.
+    p = params_from_ratios(1.0, 500.0, q_ratio=0.9, delta=30.0)
+    res = contrast_enhancement(np.array([0.0, 5e-7]), 10.0, p)
+    assert res.c_leaky[0] == 10.0
+    assert res.c_leaky[1] == pytest.approx(10.0, rel=1e-5)
+    leaky = params_from_ratios(1.0, 500.0, q_ratio=1.0, f=50.0)
+    assert contrast_enhancement(0.0, 10.0, leaky).c_leaky == 0.1
 
 
 def test_reshape_preconditions():

@@ -388,6 +388,90 @@ def test_bistability_verdicts(tmp_path):
     assert all(res["verdicts"].values())
 
 
+@pytest.mark.parametrize("kappa, x, rtol", [
+    ("1e308", "1", 1e-12), ("1e-300", "1", 1e-12),
+    # gamma = 2e-311 is subnormal, with 12 digits.
+    ("1e-308", "0", 1e-9)])
+def test_spectrum_runs_across_the_float_range_of_kappa(tmp_path, kappa, x,
+                                                       rtol):
+    # Rates in units of kappa give the kappa = 1 spectrum: 2i dw once
+    # overflowed at kappa = 1e308, and kappa = 1e-308 exited 3 on NaN.
+    cols = {}
+    for k in ("1", kappa):
+        out = tmp_path / f"{k}.csv"
+        assert run(["spectrum", "--kappa", k, "--x", x, "--grid", "-1:1:5",
+                    "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        cols[k] = dict(zip(header, np.array(rows).T))
+    for name in ("re_t", "im_t", "re_r", "im_r", "cap_t", "cap_r", "cap_t0"):
+        np.testing.assert_allclose(cols[kappa][name], cols["1"][name],
+                                   rtol=rtol, atol=1e-15, err_msg=name)
+
+
+def test_slowlight_manifest_flags_delays_outside_the_band(tmp_path):
+    out = tmp_path / "sl.csv"
+    assert run(["slowlight", "--f-list", "0.1,0.01,5", "--out", str(out)]) == 0
+    diagnostics = read_manifest(out)["diagnostics"]
+    assert diagnostics == {"delay_band": 0.02,
+                           "f_outside_delay_band": [0.1, 0.01]}
+    assert run(["slowlight", "--f-list", "5,10,100", "--out", str(out)]) == 0
+    assert read_manifest(out)["diagnostics"]["f_outside_delay_band"] == []
+
+
+def test_bistability_honours_detuning_and_leaks(tmp_path):
+    out = tmp_path / "bi.csv"
+    assert run(["bistability", "--delta", "0.5", "--x-grid", "log:0:1:3",
+                "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    col = dict(zip(header, np.array(rows).T))
+    x = col["x"]
+    # |t0(0)|^2 (gamma/4) x^3/(1+x)^2, gamma = 0.002, |t0(0)|^2 = 0.8.
+    np.testing.assert_allclose(col["p_t"], 0.8 * 0.0005 * x ** 3 / (1 + x) ** 2,
+                               rtol=1e-13)
+    assert col["p_t"][0] == pytest.approx(1e-4, rel=1e-13)
+    assert run(["bistability", "--gamma-at", "0.0001", "--x-grid",
+                "log:-3:4:71", "--out", str(out)]) == 0
+    res = read_manifest(out)["results"]
+    assert res["max_slope"] < 1.0
+    assert all(res["verdicts"].values())
+
+
+def test_bistability_kernel_calls_do_not_grow_with_fractions(tmp_path,
+                                                              monkeypatch):
+    # One kernel call for the scan and one per central-difference point,
+    # for any number of feedback fractions (was one scan per fraction).
+    from onedatom import applications
+    calls = []
+    kernel = applications._fixed_point
+    monkeypatch.setattr(applications, "_fixed_point",
+                        lambda *a: calls.append(1) or kernel(*a))
+    counts = []
+    for fractions in ("0.5", "0.1,0.5,0.9,0.99", "0,0.1,0.2,0.3,0.4,0.5,0.6"):
+        calls.clear()
+        assert run(["bistability", "--fraction-a-list", fractions,
+                    "--x-grid", "log:-3:4:71",
+                    "--out", str(tmp_path / "bi.csv")]) == 0
+        counts.append(len(calls))
+    assert counts == [3, 3, 3]
+    verdicts = read_manifest(tmp_path / "bi.csv")["results"]["verdicts"]
+    assert list(verdicts) == ["0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6"]
+
+
+@pytest.mark.parametrize("argv, want", [
+    # Was c_leaky = inf on every row: T(x/d) underflowed.
+    (["--extinction", "1e200", "--x-grid", "log:-3:2:5"],
+     lambda x: 1e200 * ((1.0 + x / 1e200) / (1.0 + x)) ** 2),
+    # Was 0.1 = 1/d at x = 0, next to 9.99999 at x = 5e-7.
+    (["--q-ratio", "0.9", "--extinction", "10", "--x-grid", "0:0.000001:3"],
+     lambda x: 10.0 * ((1.0 + x / 10.0) / (1.0 + x)) ** 2)])
+def test_reshape_c_leaky_of_lossless_emitters(tmp_path, argv, want):
+    out = tmp_path / "re.csv"
+    assert run(["reshape", *argv, "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    col = dict(zip(header, np.array(rows).T))
+    np.testing.assert_allclose(col["c_leaky"], want(col["x"]), rtol=1e-12)
+
+
 def test_reshape_manifest(tmp_path):
     out = tmp_path / "re.csv"
     assert run(["reshape", "--q-ratio", "0.96", "--f", "100",
@@ -607,6 +691,8 @@ def test_pillar_bad_inputs_are_usage_errors(tmp_path, capsys, flag, value):
     (["--d-min", "1e-200", "--d-max", "1e-199"], "float range at d=1e-200"),
     # 1e308 grid steps (was an OverflowError traceback).
     (["--d-max", "1e300", "--grid-step", "1e-300"], "grid steps"),
+    # (lambda/n)^3 overflows (was an OverflowError traceback).
+    (["--wavelength", "1e300"], "figures of merit leave the float range"),
 ])
 def test_pillar_scans_out_of_range_are_domain_errors(tmp_path, capsys, extra,
                                                      message):
@@ -693,7 +779,9 @@ def test_slowlight_huge_f_has_a_finite_half_power_count(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--delta", "1e308", "--grid", "-1:1:5"],
-    ["spectrum", "--kappa", "1e-308", "--grid", "-1:1:5"]])
+    # gamma/kappa = 1e-600 underflows in units of kappa (kappa = 1e-308
+    # alone now runs).
+    ["spectrum", "--gamma", "1e-300", "--kappa", "1e300", "--grid", "-1:1:5"]])
 def test_nan_columns_are_domain_errors(tmp_path, capsys, argv):
     out = tmp_path / "o.csv"
     with warnings.catch_warnings():

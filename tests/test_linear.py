@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,10 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from onedatom import (LeakyNotSupported, UnsupportedRegime, empty_cavity_t0,
-                      linewidths_ideal, make_params, params_from_ratios,
-                      resonance_extrema, scattering_matrix_ideal,
-                      transmission_leaky)
+from onedatom import (LeakyNotSupported, SystemParams, UnsupportedRegime,
+                      empty_cavity_t0, linewidths_ideal, make_params,
+                      params_from_ratios, resonance_extrema,
+                      scattering_matrix_ideal, transmission_leaky)
+from onedatom.linear import _fixed_point
 
 IDEAL = make_params(gamma=1.0, kappa=500.0)
 
@@ -238,3 +241,80 @@ def test_transmission_keeps_the_grid_shape():
     res = transmission_leaky(dw, IDEAL)
     assert res.t.shape == res.leaks.shape == (3, 4)
     assert res.cap_t[1, 2] == transmission_leaky(dw[1, 2], IDEAL).cap_t
+
+
+# ---------------------------------------------------------------------------
+# the steady-state kernel across the float range
+
+
+def _mp_fixed_point(dw, b_in, params):
+    """(p_c, x, s_z, s, t, r) at 50 digits: the fixed point of the affine
+    cavity-eliminated Bloch equations by a 3x3 linear solve, and t from
+    the port amplitude b_t = -(Q/Q0) t0' (b_in + i sqrt(gamma/2) s)."""
+    with mpmath.workdps(50):
+        g, k = mpmath.mpf(params.gamma), mpmath.mpf(params.kappa)
+        q = 1 / (1 + mpmath.mpf(params.gamma_cav) / (2 * k))
+        t0p = 1 / (1 + 1j * q * (dw + mpmath.mpf(params.delta)) / k)
+        d = (1j * dw + g * q * t0p / 2 + mpmath.mpf(params.gamma_at) / 2
+             + mpmath.mpf(params.gamma_star))
+        c = mpmath.sqrt(g / 2) * q * b_in * t0p
+        relax = g * q * t0p.real + params.gamma_at
+        a = mpmath.matrix([[-d.real, d.imag, 2 * c.imag],
+                           [-d.imag, -d.real, -2 * c.real],
+                           [-2 * c.imag, 2 * c.real, -relax]])
+        s_r, s_i, s_z = mpmath.lu_solve(a, mpmath.matrix([0, 0, relax / 2]))
+        s = mpmath.mpc(s_r, s_i)
+        x = -1 / (2 * s_z) - 1
+        t = -q * t0p * (b_in + 1j * mpmath.sqrt(g / 2) * s) / b_in
+        return abs(b_in) ** 2 / x, x, s_z, s, t, 1 + t
+
+
+@pytest.mark.parametrize("kappa", [1e-300, 1.0, 1e300, 1e308])
+@pytest.mark.parametrize("dw_k, x", [(0.0, 0.1), (0.004, 10.0), (-0.01, 1.0)])
+def test_kernel_matches_a_50_digit_fixed_point(kappa, dw_k, x):
+    # Rates in units of kappa; a leaky, dephased and detuned device.  At
+    # kappa = 1e308 the raw rates once overflowed.
+    params = make_params(0.002 * kappa, kappa, delta=0.3 * kappa,
+                         gamma_at=1e-4 * kappa, gamma_cav=0.05 * kappa,
+                         gamma_star=2e-4 * kappa)
+    dw, b_in = dw_k * kappa, math.sqrt(0.25 * x * params.gamma)
+    got = _fixed_point(dw, b_in, params)
+    want = _mp_fixed_point(mpmath.mpf(dw), mpmath.mpf(b_in), params)
+    for name, g, w in zip(("p_c", "x", "s_z", "s", "t", "r"), got, want):
+        assert abs(g - complex(w)) <= 1e-13 * abs(complex(w)), name
+
+
+def _moderate(lo, hi):
+    """0 or a float of magnitude in [lo, hi] with a random sign."""
+    return st.one_of(st.just(0.0), st.builds(
+        math.copysign, st.floats(lo, hi), st.sampled_from([1.0, -1.0])))
+
+
+@st.composite
+def rescalable_systems(draw):
+    """A device in units of kappa = 1 whose rates, detuning and drive stay
+    normal floats when multiplied by 4^j, -400 <= j <= 511."""
+    params = params_from_ratios(
+        draw(st.floats(1e-4, 0.5)), 1.0, q_ratio=draw(st.floats(0.5, 1.0)),
+        f=draw(st.one_of(st.just(math.inf), st.floats(0.05, 1e4))),
+        delta=draw(_moderate(1e-3, 3.0)))
+    params = dataclasses.replace(params, gamma_star=draw(_moderate(1e-4, 0.1)))
+    return params, draw(_moderate(1e-3, 3.0)), draw(_moderate(1e-6, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=rescalable_systems(), j=st.integers(-400, 511))
+def test_kernel_is_exactly_scale_free(system, j):
+    # Every rate times 4^j (an exact scaling) leaves x, s_z, s, t and r
+    # bit for bit and multiplies p_c by exactly 4^j (inf beyond the float
+    # range), up to rates of 1e308.
+    params, dw, x = system
+    params = dataclasses.replace(params, gamma_star=abs(params.gamma_star))
+    scaled = SystemParams(*(math.ldexp(getattr(params, f.name), 2 * j)
+                            for f in dataclasses.fields(params)))
+    b_in = math.sqrt(0.25 * x * params.gamma) if x > 0.0 else 0.0
+    base = _fixed_point(dw, b_in, params)
+    moved = _fixed_point(math.ldexp(dw, 2 * j), math.ldexp(b_in, j), scaled)
+    with np.errstate(over="ignore"):
+        assert moved[0] == np.ldexp(base[0], 2 * j)
+    assert moved[1:] == base[1:]
