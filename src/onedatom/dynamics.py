@@ -1,36 +1,36 @@
-"""Time-domain integration of the semiclassical Bloch equations.
+"""Exact time-domain propagation of the driven emitter.
 
 This module is the independent oracle for every closed-form steady state in
-the package: it integrates the mean-value equations of motion with LSODA
-(ODEPACK's variable-order solver, which switches between Adams steps while
-the problem is non-stiff and BDF steps once it turns stiff) and
-reconstructs the port amplitudes from the algebraic output relations at
-every sample.  ODEPACK takes every step in compiled code and calls back
-into Python only for the right-hand side, which is plain float arithmetic.
-scipy.integrate is imported on the first integration, not with the
-package.
+the package.  Both descriptions it offers are linear with constant
+coefficients, so the deviation z of the state from its fixed point obeys
+z(t + h) = exp(M h) z(t) exactly: `integrate` takes one exp(M h) per
+distinct sample spacing h (Pade-13 scaling and squaring, in numpy) and one
+matrix-vector product per sample; only the number of squarings grows, as
+the logarithm of the fastest rate times h.
 
-Two levels of description are available.  The default integrates the
-cavity-eliminated dipole equations (valid in the bad-cavity regime, where
-gamma << kappa); their damping terms carry the exact atomic operator
-algebra, so their steady states are the package's closed forms at any
-drive power.  With ``full_system=True`` the cavity amplitude is kept as a
-dynamical variable under the mean-field closure <S_z a> -> s_z a, which is
-quantitatively meaningful in the weak-drive regime; comparing the two
-there measures the elimination error, which empirically scales like
-gamma/(2 kappa) in the dipole decay rate.
+The default description is the cavity-eliminated dipole equations (valid
+in the bad-cavity regime, gamma << kappa); their damping terms carry the
+exact atomic operator algebra, so their steady states are the package's
+closed forms at any drive power.  Their fixed point is solved for here, not
+taken from the steady-state kernel.  With ``full_system=True`` the emitter
+and the cavity follow the Jaynes-Cummings master equation on the fewest
+Fock states (at least 3) whose top state holds less than `FOCK_TAIL` of the
+population at every sample; comparing the two measures the error of the
+adiabatic elimination, which scales like gamma/(2 kappa) in the dipole
+decay rate.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .csvio import write_csv
-from .errors import (DomainError, NoConvergence, NonFiniteInput,
-                     NonPositiveRate, StepCollapse, UnsupportedRegime)
+from .errors import (DomainError, NoConvergence, NonPositiveRate,
+                     StepCollapse, UnsupportedRegime)
 from .linear import t0_prime
 from .model import BlochState, DriveField, SystemParams
 from .nonlinear import output_amplitudes
@@ -38,10 +38,15 @@ from .nonlinear import output_amplitudes
 TRAJECTORY_COLUMNS = ("t", "re_s", "im_s", "s_z",
                       "re_bt", "im_bt", "re_br", "im_br")
 
+#: Most Fock states the full system may use before it refuses the drive.
+FOCK_MAX = 8
+#: Largest population the top Fock state may hold at any sample.
+FOCK_TAIL = 1e-10
+
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution of one integration, with per-sample port amplitudes."""
+    """Sampled solution of one propagation, with per-sample port amplitudes."""
 
     times: np.ndarray
     s: np.ndarray
@@ -49,9 +54,10 @@ class Trajectory:
     b_t: np.ndarray
     b_r: np.ndarray
     a: np.ndarray | None = None
-    #: Right-hand-side evaluations the solver made, finite-difference
-    #: Jacobian columns included.
-    nfev: int = 0
+    #: Matrix squarings of the exponentials the propagation computed.
+    squarings: int = 0
+    #: Fock states of the full system's cavity; None when eliminated.
+    fock_levels: int | None = None
 
     def state_at(self, i) -> BlochState:
         return BlochState(complex(self.s[i]), float(self.s_z[i]))
@@ -70,14 +76,59 @@ class Trajectory:
         return write_csv(fh, TRAJECTORY_COLUMNS, self.columns)
 
 
-def _eliminated_rhs(drive: DriveField, params: SystemParams):
-    """Cavity-eliminated equations in y = (Re s, Im s, s_z), in plain floats.
+#: Coefficients of the [13/13] Pade approximant of exp, and the largest
+#: 1-norm at which it is exact to double precision (Higham, SIAM J. Matrix
+#: Anal. Appl. 26, 1179 (2005)).
+_PADE13 = [math.factorial(26 - k) // (math.factorial(k)
+                                      * math.factorial(13 - k))
+           for k in range(14)]
+_THETA13 = 5.371920351148152
+
+
+def _expm(m, h, sink=0.0):
+    """exp(m h) - sink by Pade-13 scaling and squaring, and its squarings.
+
+    ``sink`` is 0 or the projector onto the stationary state of m.  Its
+    eigenvalue 1 survives every squaring, and so would the rounding along
+    it; exp(m h) - sink squares to exp(2 m h) - sink and decays instead.
+    """
+    squarings = max(0, math.ceil(math.log2(np.abs(m).sum(axis=0).max())
+                                 + math.log2(h) - math.log2(_THETA13)))
+    a = m * math.ldexp(h, -squarings)
+    b = _PADE13
+    eye = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    e = np.linalg.solve(v - u, v + u) - sink
+    for _ in range(squarings):
+        e = e @ e
+    return e, squarings
+
+
+#: dy/dt = m (y - fixed) from y0.  The rows of ``read`` map y to <sigma>,
+#: <S_z>, <a> and the top Fock population; ``sink`` is as for `_expm`.
+_System = namedtuple("_System", "m fixed y0 sink read fock_levels")
+#: Largest rounding error accepted from a propagator, on states of size 1/2.
+#: Scaling and squaring loses about eps |M|_1 / r on a mode that decays at
+#: rate r, so a drive or detuning far faster than the decay is refused.
+_ROUNDING_MAX = 1e-8
+
+
+def _bloch(drive: DriveField, params: SystemParams):
+    """Cavity-eliminated equations in y = (Re s, Im s, s_z): (A, y*, r).
 
     The complex form ds/dt = -(i dw + c_damp) s - 2 i c_drive s_z,
     ds_z/dt = -relax_z (s_z + 1/2) + 2 Re(i s* c_drive) is affine:
     dy/dt = A y + b with b = (0, 0, -relax_z/2) and, for d = i dw + c_damp,
     A = [[-Re d, Im d, 2 Im c_drive], [-Im d, -Re d, -2 Re c_drive],
          [-2 Im c_drive, 2 Re c_drive, -relax_z]].
+    A is -diag(Re d, Re d, relax_z) plus a skew-symmetric matrix, so every
+    mode decays at least at the rate r = min(Re d, relax_z).
     """
     t0p = t0_prime(drive.delta_omega, params)
     q = params.q_ratio
@@ -87,121 +138,132 @@ def _eliminated_rhs(drive: DriveField, params: SystemParams):
     relax_z = params.gamma * q * t0p.real + params.gamma_at
     d_r, d_i = c_damp.real, c_damp.imag + drive.delta_omega
     c_r, c_i = 2.0 * c_drive.real, 2.0 * c_drive.imag
-
-    def rhs(t, y):
-        s_r, s_i, s_z = y.tolist()
-        return (d_i * s_i - d_r * s_r + c_i * s_z,
-                -d_i * s_r - d_r * s_i - c_r * s_z,
-                c_r * s_i - c_i * s_r - relax_z * (s_z + 0.5))
-
-    return rhs
+    a = np.array([[-d_r, d_i, c_i], [-d_i, -d_r, -c_r],
+                  [-c_i, c_r, -relax_z]])
+    slowest = min(d_r, relax_z)
+    _check_rounding(a, slowest)
+    return a, np.linalg.solve(a, [0.0, 0.0, 0.5 * relax_z]), slowest
 
 
-def _full_rhs(drive: DriveField, params: SystemParams):
-    """Dipole and cavity equations in y = (Re s, Im s, s_z, Re a, Im a)."""
-    omega_c = math.sqrt(0.5 * params.gamma * params.kappa)
-    two_omega_c = 2.0 * omega_c
-    decay_s = 0.5 * params.gamma_at + params.gamma_star
-    decay_a = params.kappa + 0.5 * params.gamma_cav
-    dw, dwc = drive.delta_omega, drive.delta_omega + params.delta
-    pump = 1j * math.sqrt(params.kappa) * drive.b_in
-    pump_r, pump_i = pump.real, pump.imag
-    gamma_at = params.gamma_at
-
-    def rhs(t, y):
-        s_r, s_i, s_z, a_r, a_i = y.tolist()
-        w = two_omega_c * s_z
-        return (dw * s_i - decay_s * s_r - w * a_r,
-                -decay_s * s_i - dw * s_r - w * a_i,
-                two_omega_c * (s_r * a_r + s_i * a_i) - gamma_at * (s_z + 0.5),
-                dwc * a_i - decay_a * a_r - omega_c * s_r + pump_r,
-                -decay_a * a_i - dwc * a_r - omega_c * s_i + pump_i)
-
-    return rhs
+def _check_rounding(m, slowest):
+    """Refuse M whose exponential rounding would exceed _ROUNDING_MAX, or
+    whose slowest decay rate is not a normal float."""
+    norm = np.abs(m).sum(axis=0).max()
+    if not (np.finfo(float).eps * norm <= _ROUNDING_MAX * slowest
+            and slowest >= np.finfo(float).tiny):
+        raise UnsupportedRegime(
+            f"the equations of motion have a rate of {norm:.3g} against a "
+            f"slowest decay rate of {slowest:.3g}: rounding would cost "
+            f"exp(M t) more than {_ROUNDING_MAX:g}, or the decay rate is "
+            "not a normal float")
 
 
-def _adiabatic_cavity(s, drive: DriveField, params: SystemParams) -> complex:
-    omega_c = math.sqrt(0.5 * params.gamma * params.kappa)
-    return (params.q_ratio * t0_prime(drive.delta_omega, params)
-            * (-omega_c * s + 1j * math.sqrt(params.kappa) * drive.b_in)
-            / params.kappa)
+def _master(drive: DriveField, params: SystemParams, initial: BlochState,
+            coherent, slowest) -> _System:
+    """Jaynes-Cummings master equation on n = len(coherent) Fock states.
+
+    H = dw sigma+ sigma + (dw + delta) a+ a + i g (a sigma+ - a+ sigma)
+        - sqrt(kappa) (b_in a+ + b_in* a),  g^2 = gamma kappa / 2,
+    with the collapse operators sqrt(2 kappa + gamma_cav) a,
+    sqrt(gamma_at) sigma and sqrt(2 gamma*) sigma+ sigma.  rho is the
+    row-major vector over (g, e) x Fock states, so vec(X rho Y) =
+    kron(X, Y^T) vec(rho).  The emitter starts in ``initial`` and the
+    cavity in the state with the Fock amplitudes ``coherent``.  The
+    slowest decay rate is the eliminated equations' ``slowest`` or the
+    cavity's, kappa + gamma_cav/2.
+    """
+    n = len(coherent)
+    sm = np.kron([[0.0, 1.0], [0.0, 0.0]], np.eye(n))      # |g><e|
+    a = np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1.0, n)), 1))
+    ee = sm.T @ sm
+    b_in = complex(drive.b_in)
+    eye = np.eye(2 * n)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        jumps = (math.sqrt(2.0 * params.kappa + params.gamma_cav) * a,
+                 math.sqrt(params.gamma_at) * sm,
+                 math.sqrt(2.0 * params.gamma_star) * ee)
+        h_eff = (drive.delta_omega * ee
+                 + (drive.delta_omega + params.delta) * a.T @ a
+                 + 1j * math.sqrt(0.5 * params.gamma)
+                 * math.sqrt(params.kappa) * (a @ sm.T - a.T @ sm)
+                 - math.sqrt(params.kappa)
+                 * (b_in * a.T + b_in.conjugate() * a)
+                 - 0.5j * sum(c.T @ c for c in jumps))
+        lv = (-1j * np.kron(h_eff, eye) + 1j * np.kron(eye, h_eff.conj())
+              + sum(np.kron(c, c) for c in jumps))
+        _check_rounding(lv, min(slowest,
+                                params.kappa + 0.5 * params.gamma_cav))
+    # The stationary state: L rho = 0 with one row traded for Tr rho = 1.
+    constrained = lv.copy()
+    constrained[0] = eye.ravel()
+    fixed = np.linalg.solve(constrained, np.eye(len(lv), 1)[:, 0])
+    s, s_z = initial.s, initial.s_z
+    coherent = coherent / np.linalg.norm(coherent)
+    rho0 = np.kron([[0.5 - s_z, s.conjugate()], [s, 0.5 + s_z]],
+                   np.outer(coherent, coherent.conj()))
+    top = np.kron(np.eye(2), np.diag(np.arange(n) == n - 1))
+    # Tr(rho O) = vec(rho) . vec(O^T)
+    read = np.array([sm.T.ravel(), (ee - 0.5 * eye).ravel(), a.T.ravel(),
+                     top.ravel()])
+    return _System(lv, fixed, rho0.ravel(), np.outer(fixed, eye.ravel()),
+                   read, n)
 
 
-def _system(drive: DriveField, params: SystemParams, initial: BlochState,
-            full_system: bool):
-    """Right-hand side and initial vector for one of the two descriptions."""
+def _propagate(drive: DriveField, params: SystemParams,
+               initial: BlochState, full_system: bool, steps):
+    """(s, s_z, <a>, squarings, Fock states) at the times that ``steps``
+    reach from 0, with one exp(M h) per distinct step h.  The full system
+    runs on 3, 4, ... FOCK_MAX Fock states and returns from the first whose
+    top state stays below FOCK_TAIL at every sample."""
     if np.ndim(drive.delta_omega) or np.ndim(drive.b_in):
         raise UnsupportedRegime("the Bloch equations take a scalar drive, "
                                 "not an array sweep")
-    if full_system:
-        a0 = _adiabatic_cavity(initial.s, drive, params)
-        y0 = (initial.s.real, initial.s.imag, initial.s_z, a0.real, a0.imag)
-        return _full_rhs(drive, params), y0
-    y0 = (initial.s.real, initial.s.imag, initial.s_z)
-    return _eliminated_rhs(drive, params), y0
-
-
-#: Smallest relative tolerance accepted: 100 machine epsilons, the floor
-#: below which double precision cannot deliver the requested accuracy.
-RTOL_MIN = 100 * np.finfo(float).eps
-
-
-def check_tolerances(rtol, atol):
-    """Reject tolerances that LSODA cannot honour or that stop it.
-
-    Raises
-    ------
-    NonFiniteInput
-        If rtol or atol is not finite.
-    NonPositiveRate
-        If rtol < RTOL_MIN or atol <= 0.
-    """
-    for name, value in (("rtol", rtol), ("atol", atol)):
-        if not math.isfinite(value):
-            raise NonFiniteInput(f"{name} must be finite, got {value}")
-    if not rtol >= RTOL_MIN:
-        raise NonPositiveRate(f"rtol must be >= {RTOL_MIN:.3g}, got {rtol}")
-    if not atol > 0.0:
-        raise NonPositiveRate(f"atol must be > 0, got {atol}")
-
-
-def _lsoda(rhs, y0, rtol, atol):
-    """One LSODA run from ``y0`` at t = 0 whose steps run in compiled code.
-
-    Returns ``advance(t)``, which integrates on to ``t`` and returns a copy
-    of the state there, and ``nfev()``, the right-hand-side evaluations so
-    far, finite-difference Jacobian columns included.
-    """
-    from scipy.integrate import ode
-
-    check_tolerances(rtol, atol)
-    nfev = 0
-
-    def counted(t, y):
-        nonlocal nfev
-        nfev += 1
-        return rhs(t, y)
-
-    # scipy's default of 500 steps per call is far too few for a strongly
-    # driven interval.
-    solver = ode(counted).set_integrator("lsoda", rtol=rtol, atol=atol,
-                                         nsteps=2**31 - 1)
-    solver.set_initial_value(y0, 0.0)
-
-    def advance(t):
-        y = solver.integrate(t)
-        if not solver.successful():
-            raise StepCollapse(f"integrator failed at t={solver.t:g} (LSODA "
-                               f"return code {solver.get_return_code()})")
-        return y.copy()         # scipy reuses the returned array
-
-    return advance, lambda: nfev
+    matrix, fixed, slowest = _bloch(drive, params)
+    if not full_system:
+        y0 = np.array([initial.s.real, initial.s.imag, initial.s_z])
+        read = np.array([[1.0, 1j, 0.0], [0.0, 0.0, 1.0], [0.0] * 3,
+                         [0.0] * 3])
+        systems = [_System(matrix, fixed, y0, 0.0, read, None)]
+    else:
+        # The cavity starts in the coherent state at its adiabatic value;
+        # the cutoffs whose top state it already fills are skipped.
+        alpha = (params.q_ratio * t0_prime(drive.delta_omega, params)
+                 * (1j * math.sqrt(params.kappa) * drive.b_in
+                    - math.sqrt(0.5 * params.gamma) * math.sqrt(params.kappa)
+                    * initial.s) / params.kappa)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            coherent = np.cumprod(
+                [1.0] + [alpha / math.sqrt(k) for k in range(1, FOCK_MAX)])
+            weights = np.abs(coherent) ** 2
+        systems = (_master(drive, params, initial, coherent[:n], slowest)
+                   for n in range(3, FOCK_MAX + 1)
+                   if weights[n - 1] < FOCK_TAIL * weights[:n].sum())
+    for system in systems:
+        propagators, squarings, blocks = {}, 0, []
+        z = system.y0 - system.fixed
+        # Read off in blocks: the master equation's state has up to 256
+        # entries per sample, and a run up to 10^7 samples.
+        for first in range(0, len(steps), 4096):
+            y = np.empty((min(4096, len(steps) - first), z.size), z.dtype)
+            for k, h in enumerate(steps[first:first + 4096].tolist()):
+                if h:
+                    if h not in propagators:
+                        propagators[h], n = _expm(system.m, h, system.sink)
+                        squarings += n
+                    z = propagators[h] @ z
+                y[k] = z
+            blocks.append((y + system.fixed) @ system.read.T)
+        s, s_z, a, top = np.concatenate(blocks).T
+        if not np.max(top.real) >= FOCK_TAIL:    # callers report a NaN
+            return s, s_z.real, a, squarings, system.fock_levels
+    raise UnsupportedRegime(
+        f"the full system needs more than {FOCK_MAX} Fock states to keep "
+        f"the top one below {FOCK_TAIL:g} of the population")
 
 
 def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
-              duration, *, rtol=1e-10, atol=1e-12, samples=1001,
-              full_system=False) -> Trajectory:
-    """Integrate the driven Bloch equations for ``duration``.
+              duration, *, samples=1001, full_system=False) -> Trajectory:
+    """Propagate the driven equations of motion for ``duration``.
 
     Parameters
     ----------
@@ -212,8 +274,9 @@ def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
         t = 0 and t = duration are sampled), or explicit sample times:
         finite, strictly increasing and inside [0, duration].
     full_system : bool
-        Keep the cavity amplitude dynamical instead of eliminating it.  The
-        cavity starts at its adiabatic value for the initial dipole state.
+        Propagate the emitter-cavity master equation instead of the
+        eliminated equations.  The cavity starts in the coherent state at
+        its adiabatic value for the initial dipole state.
 
     Raises
     ------
@@ -221,9 +284,11 @@ def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
     DomainError
         If explicit sample times are not as described above.
     StepCollapse
-        If the solver fails or a sample of the state is not finite.
+        If a sample of the state is not finite.
     UnsupportedRegime
-        If the drive is an array sweep.
+        If the drive is an array sweep, if rounding would spoil the
+        propagator, or if the full system needs more than FOCK_MAX Fock
+        states.
     """
     initial.require_physical()
     if not duration > 0.0:
@@ -232,6 +297,8 @@ def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
         if not samples >= 2:
             raise NonPositiveRate(f"samples must be >= 2, got {samples}")
         times = np.linspace(0.0, duration, int(samples))
+        steps = np.full(times.size, duration / (times.size - 1))
+        steps[0] = 0.0
     else:
         times = np.array(samples, dtype=float)
         if not (times.ndim == 1 and times.size and np.isfinite(times).all()
@@ -239,27 +306,22 @@ def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
                 and 0.0 <= times[0] and times[-1] <= duration):
             raise DomainError("samples must be finite, strictly increasing "
                               f"times in [0, {duration:g}]")
-    rhs, y0 = _system(drive, params, initial, full_system)
-    advance, nfev = _lsoda(rhs, y0, rtol, atol)
-    y = np.array([y0 if t == 0.0 else advance(t)
-                  for t in times.tolist()]).T
-    finite = np.isfinite(y).all(axis=0)
+        steps = np.diff(times, prepend=0.0)
+    s, s_z, a, squarings, fock_levels = _propagate(
+        drive, params, initial, full_system, steps)
+    finite = np.isfinite(s) & np.isfinite(s_z)
     if not finite.all():
-        # LSODA reports success on a right-hand side that turned NaN.
-        raise StepCollapse("integrator produced a non-finite state at "
+        raise StepCollapse("propagation produced a non-finite state at "
                            f"t={times[np.argmin(finite)]:g}")
-    s = y[0] + 1j * y[1]
-    s_z = y[2]
     if full_system:
-        a = y[3] + 1j * y[4]
-        b_r = drive.b_in + 1j * math.sqrt(params.kappa) * a
         b_t = 1j * math.sqrt(params.kappa) * a
+        b_r = drive.b_in + b_t
     else:
         a = None
         b_t, b_r = output_amplitudes(s, drive, params)
-    return Trajectory(times=times, s=s, s_z=s_z,
-                      b_t=np.asarray(b_t), b_r=np.asarray(b_r), a=a,
-                      nfev=nfev())
+    return Trajectory(times=times, s=s, s_z=s_z, b_t=np.asarray(b_t),
+                      b_r=np.asarray(b_r), a=a, squarings=squarings,
+                      fock_levels=fock_levels)
 
 
 #: Window (in units of 1/gamma) over which settle compares successive states.
@@ -273,47 +335,47 @@ class SettleResult:
     state: BlochState
     time: float
     windows: int
-    #: Right-hand-side evaluations of the one solver run.
-    nfev: int = 0
+    #: Matrix squarings of the window's exponential.
+    squarings: int = 0
+    #: Fock states of the full system's cavity; None when eliminated.
+    fock_levels: int | None = None
 
 
 def settle(drive: DriveField, params: SystemParams, tol=1e-9, *,
-           rtol=1e-10, atol=1e-13, full_system=False) -> SettleResult:
+           full_system=False) -> SettleResult:
     """Relax from the ground state until the state stops changing.
 
-    One solver run goes from the ground state towards t = 1000/gamma and is
-    asked for the state at every window boundary (window = 5/gamma); LSODA
-    steps past the boundary and interpolates its step back to it.  Returns
-    once the componentwise change of (Re s, Im s, s_z) over one window drops
-    below ``tol``.
+    One exp(M window) (window = 5/gamma) steps the state from one window
+    boundary to the next, up to t = 1000/gamma.  Returns the state at the
+    first boundary where the componentwise change of (Re s, Im s, s_z)
+    over one window is below ``tol``.
 
     Raises
     ------
     NoConvergence
         If the change is still above ``tol`` at t = 1000/gamma.
     StepCollapse
-        If the solver fails or the state turns non-finite.
+        If the state turns non-finite before it settles.
+    UnsupportedRegime
+        As for `integrate`.
     """
     if not tol > 0.0:
         raise NonPositiveRate(f"tol must be > 0, got {tol}")
     window = SETTLE_WINDOW / params.gamma
-    max_windows = int(round(SETTLE_MAX_TIME / SETTLE_WINDOW))
-    rhs, y0 = _system(drive, params, BlochState.ground(), full_system)
-    advance, nfev = _lsoda(rhs, y0, rtol, atol)
-    prev = np.array(y0[:3])
-    for k in range(1, max_windows + 1):
-        new = advance(k * window)[:3]
-        diff = float(np.max(np.abs(new - prev)))
-        if diff < tol:
-            state = BlochState(complex(new[0], new[1]), float(new[2]))
-            return SettleResult(state=state, time=k * window, windows=k,
-                                nfev=nfev())
-        if not math.isfinite(diff):
-            # prev is finite, so the new state is not: LSODA keeps
-            # stepping a NaN state without failing.
-            raise StepCollapse(
-                f"integrator produced a non-finite state by t={k * window:g}")
-        prev = new
-    raise NoConvergence(
-        f"state still changing by more than tol={tol} after "
-        f"{SETTLE_MAX_TIME:g}/gamma")
+    steps = np.full(int(round(SETTLE_MAX_TIME / SETTLE_WINDOW)) + 1, window)
+    steps[0] = 0.0
+    s, s_z, _, squarings, fock_levels = _propagate(
+        drive, params, BlochState.ground(), full_system, steps)
+    change = np.max(np.abs(np.diff([s.real, s.imag, s_z])), axis=0)
+    # The first window whose change is below tol or not a number.
+    k = 1 + int(np.argmax(~(change >= tol)))
+    if not change[k - 1] < tol:
+        if math.isnan(change[k - 1]):
+            raise StepCollapse("propagation produced a non-finite state by "
+                               f"t={k * window:g}")
+        raise NoConvergence(
+            f"state still changing by more than tol={tol} after "
+            f"{SETTLE_MAX_TIME:g}/gamma")
+    return SettleResult(state=BlochState(complex(s[k]), float(s_z[k])),
+                        time=k * window, windows=k, squarings=squarings,
+                        fock_levels=fock_levels)

@@ -38,7 +38,7 @@ class ScanFailed(DomainError):
 
 
 class StepCollapse(DomainError):
-    """The adaptive integrator failed to meet its tolerance."""
+    """The time-domain propagation produced a non-finite state."""
 
 
 class InvalidInitial(DomainError):

@@ -152,7 +152,7 @@ class DriveField:
     Either field may be a numpy array, making the drive a sweep (of
     detunings, of amplitudes, or of both, broadcast together) that the
     steady-state and scattering closed forms evaluate in one call.  The
-    time-domain integrator takes scalar drives only.
+    time-domain propagator takes scalar drives only.
     """
 
     delta_omega: float
@@ -172,8 +172,8 @@ class DriveField:
 
     @classmethod
     def from_power(cls, delta_omega, p_in) -> "DriveField":
-        # A scalar drive stays in Python numbers: the Bloch right-hand side
-        # does its arithmetic with them at every solver step.
+        # A scalar drive stays in Python numbers, whose scalar arithmetic
+        # is cheaper than that of numpy scalars.
         if np.ndim(delta_omega) == 0 and np.ndim(p_in) == 0:
             if p_in < 0.0:
                 raise NonPositiveRate(f"p_in must be >= 0, got {p_in}")

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import onedatom
-from onedatom import (DriveField, cli, dynamics, make_params, pillar,
+from onedatom import (DriveField, cli, make_params, pillar,
                       scatter_nonlinear, transmission_leaky)
 from onedatom.cli import parse_grid, run
 
@@ -172,15 +172,17 @@ def test_dynamics_settle_manifest(tmp_path):
     settled = read_manifest(out)["results"]["settled"]
     assert settled["s_z"] == pytest.approx(-0.25, abs=1e-6)
     # The distance of the settled state to the closed-form fixed point: the
-    # settle tolerance for the eliminated equations, and for the weakly
-    # driven full system the error of the elimination and of its
-    # mean-field closure (7e-4 here).
+    # settle tolerance for the eliminated equations, and for the full
+    # system the error of the elimination (1.8e-4 here).
     assert 0.0 <= settled["steady_state_gap"] < 1e-8
+    # The master equation settles at x = 1 (the mean-field closure it
+    # replaced had no damped steady state there and exited 3).
     full = tmp_path / "full.csv"
-    assert run(["dynamics", "--x", "0.01", "--settle", "--samples", "5",
+    assert run(["dynamics", "--x", "1", "--settle", "--samples", "5",
                 "--kappa", "500", "--full-system", "--out", str(full)]) == 0
-    gap = read_manifest(full)["results"]["settled"]["steady_state_gap"]
-    assert 1e-4 < gap < 1e-2
+    settled = read_manifest(full)["results"]["settled"]
+    assert 1e-8 < settled["steady_state_gap"] <= 1e-3
+    assert settled["windows"] == 7
 
 
 def test_dynamics_manifest_solver_diagnostics(tmp_path):
@@ -189,9 +191,10 @@ def test_dynamics_manifest_solver_diagnostics(tmp_path):
                 "--kappa", "500", "--out", str(out)]) == 0
     manifest = read_manifest(out)
     solver = manifest["diagnostics"]["solver"]
-    assert set(solver) == {"method", "nfev", "settle_windows"}
-    assert solver["method"] == "LSODA"
-    assert isinstance(solver["nfev"], int) and solver["nfev"] > 0
+    assert set(solver) == {"method", "squarings", "samples", "settle_windows"}
+    assert solver["method"] == "expm"
+    assert isinstance(solver["squarings"], int) and solver["squarings"] > 0
+    assert solver["samples"] == manifest["rows"] == 5
     assert solver["settle_windows"] == manifest["results"]["settled"]["windows"]
     header, rows = read_csv(out)
     assert header == ["t", "re_s", "im_s", "s_z",
@@ -206,7 +209,13 @@ def test_dynamics_manifest_solver_diagnostics(tmp_path):
     assert run(["dynamics", "--x", "1", "--samples", "5", "--kappa", "500",
                 "--out", str(plain)]) == 0
     solver = read_manifest(plain)["diagnostics"]["solver"]
-    assert solver["settle_windows"] == 0 and solver["nfev"] > 0
+    assert solver["settle_windows"] == 0 and solver["squarings"] > 0
+
+    full = tmp_path / "full.csv"
+    assert run(["dynamics", "--x", "1", "--samples", "5", "--kappa", "500",
+                "--settle", "--full-system", "--out", str(full)]) == 0
+    solver = read_manifest(full)["diagnostics"]["solver"]
+    assert solver["fock_levels"] == 4 and solver["settle_windows"] == 7
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "1", "2.7", "nan", "inf"])
@@ -233,22 +242,6 @@ def test_dynamics_accepts_integral_sample_count(tmp_path):
     _, rows = read_csv(out)
     assert len(rows) == 2 and rows[-1][0] == 1.0
     assert read_manifest(out)["options"]["samples"] == 2
-
-
-def test_dynamics_passes_atol_to_settle(tmp_path, monkeypatch):
-    seen = {}
-    real_settle = onedatom.dynamics.settle
-
-    def spy(*args, **kwargs):
-        seen.update(kwargs)
-        return real_settle(*args, **kwargs)
-
-    monkeypatch.setattr(onedatom.dynamics, "settle", spy)
-    out = tmp_path / "settle.csv"
-    assert run(["dynamics", "--x", "1", "--settle", "--samples", "5",
-                "--atol", "1e-11", "--out", str(out)]) == 0
-    assert seen["atol"] == 1e-11
-    assert read_manifest(out)["options"]["atol"] == 1e-11
 
 
 #: The package's public names, as listed before they were resolved lazily.
@@ -326,6 +319,10 @@ def test_cli_import_does_not_load_the_integrator(tmp_path, capsys):
     for name in ("spectrum", "pillar", "kerr"):
         assert fresh(FRESH_RUN, name, *CHEAP_CALLS[name],
                      "--out", f"{name}.csv") == [0, False], name
+    for extra in ([], ["--full-system"]):
+        assert fresh(FRESH_RUN, "dynamics", "--x", "1", "--kappa", "500",
+                     "--samples", "5", "--settle", *extra,
+                     "--out", "dynamics.csv") == [0, False], extra
 
     api = fresh(FRESH_API)
     assert set(api["all"]) == PUBLIC_NAMES
@@ -342,8 +339,7 @@ def test_cli_import_does_not_load_the_integrator(tmp_path, capsys):
     for name, args in CHEAP_CALLS.items():
         out = tmp_path / f"{name}.csv"
         assert run([name, *args, "--out", str(out)]) == 0, name
-        versions = read_manifest(out)["versions"]
-        assert ("scipy" in versions) == (name == "dynamics"), name
+        assert "scipy" not in read_manifest(out)["versions"], name
     capsys.readouterr()
     assert run(["--help"]) == 0
     listing = capsys.readouterr().out
@@ -454,7 +450,12 @@ def test_bistability_kernel_calls_do_not_grow_with_fractions(tmp_path,
         counts.append(len(calls))
     assert counts == [3, 3, 3]
     verdicts = read_manifest(tmp_path / "bi.csv")["results"]["verdicts"]
-    assert list(verdicts) == ["0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6"]
+    assert list(verdicts) == ["0.0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6"]
+    # Keys are exact: fractions that print alike in six digits stay apart.
+    assert run(["bistability", "--fraction-a-list", "0.1234567,0.1234568",
+                "--x-grid", "log:-1:1:3", "--out", str(tmp_path / "bi.csv")]) == 0
+    verdicts = read_manifest(tmp_path / "bi.csv")["results"]["verdicts"]
+    assert list(verdicts) == ["0.1234567", "0.1234568"]
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -731,6 +732,8 @@ def test_pillar_manifest_reports_the_optimizer_counts(tmp_path):
     ("--rtol", "-1"), ("--rtol", "0"), ("--rtol", "1e-20"), ("--rtol", "nan"),
     ("--atol", "0")])
 def test_dynamics_rejects_bad_tolerances(tmp_path, capsys, flag, value):
+    # The propagator is exact and takes no tolerance: --rtol and --atol are
+    # unknown flags, a usage error that names them.
     out = tmp_path / "traj.csv"
     assert run(["dynamics", "--x", "1", "--samples", "5", "--settle",
                 flag, value, "--out", str(out)]) == 2
@@ -752,6 +755,50 @@ def test_dynamics_bad_inputs_name_the_flag(tmp_path, capsys, flag, value):
                 flag, value, "--out", str(out)]) == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    # Rates near the float range settle at once (was LSODA return code -3).
+    (["--gamma", "1e300", "--x", "1"], 0),
+    (["--gamma", "1e300", "--x", "1", "--settle"], 0),
+    # A 5e296 photons/s drive: its Rabi phase is beyond double precision
+    # (LSODA stepped through it and never returned).
+    (["--x", "1e300"], 3),
+    (["--x", "1e300", "--settle", "--full-system"], 3),
+    # More than FOCK_MAX Fock states.
+    (["--x", "1000", "--full-system"], 3),
+    # kappa = 1e308 overflows 2 kappa in the master equation only (LSODA
+    # exited 3 on both); gamma_at = 1e300 kappa leaves the cavity far
+    # slower than the master equation's fastest rate.
+    (["--x", "1", "--kappa", "1e308"], 0),
+    (["--x", "1", "--kappa", "1e308", "--full-system"], 3),
+    (["--x", "1", "--gamma-at", "1e300", "--settle", "--full-system"], 3),
+    (["--x", "1", "--kappa", "500", "--settle", "--full-system"], 0)])
+def test_dynamics_exit_matrix(tmp_path, capsys, argv, code):
+    out = tmp_path / "traj.csv"
+    assert run(["dynamics", "--duration", "1", "--samples", "3", *argv,
+                "--out", str(out)]) == code
+    if code:
+        assert "error: --x/--power" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        _, rows = read_csv(out)
+        assert np.isfinite(rows).all()
+
+
+def test_no_module_imports_scipy():
+    # The propagator is numpy only; scipy is a test dependency.
+    src = pathlib.Path(cli.__file__).parent
+    imports = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
+            imports += [f"{path.name}:{node.lineno} {n}" for n in names
+                        if n.split(".")[0] == "scipy"]
+    assert imports == []
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "2.5", "0", "-1"])
@@ -880,7 +927,6 @@ def test_each_option_is_declared_by_one_table_row():
                                         "--n-index")] == [
         pillar.DEFAULT_EPSILON, pillar.DEFAULT_WAVELENGTH,
         pillar.DEFAULT_N_INDEX]
-    assert cli._RTOL_MIN == dynamics.RTOL_MIN
 
 
 def _flag_arities():
