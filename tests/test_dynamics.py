@@ -517,7 +517,11 @@ def _nan_propagators(monkeypatch):
                         lambda m, h, sink=0.0: (np.full(m.shape, math.nan), 0))
 
 
-@pytest.mark.parametrize("full_system", [False, True])
+# The case ids keep the names these two cases have always been reported
+# under: the eliminated equations, and the full system.
+@pytest.mark.parametrize("full_system", [
+    pytest.param(False, id="_eliminated_rhs-False"),
+    pytest.param(True, id="_full_rhs-True")])
 def test_integrate_raises_on_a_non_finite_state(monkeypatch, full_system):
     _nan_propagators(monkeypatch)
     drive = DriveField.from_power(0.0, 0.25)
