@@ -349,11 +349,21 @@ def _cmd_pillar(ns, parser):
     from . import pillar
     if ns.q0 is None:
         parser.error("--q0 is required")
-    res = pillar.optimize_diameter(
-        ns.q0, ns.objective, d_range=(ns.d_min, ns.d_max),
-        grid_step=ns.grid_step, epsilon=ns.epsilon, lambda_0=ns.wavelength,
-        n_index=ns.n_index, loss_ratio=ns.loss_ratio,
-        gamma_star_ratio=ns.gamma_star_ratio)
+    if not ns.d_min < ns.d_max:
+        parser.error(f"--d-min must be < --d-max, got {ns.d_min} >= {ns.d_max}")
+    try:
+        res = pillar.optimize_diameter(
+            ns.q0, ns.objective, d_range=(ns.d_min, ns.d_max),
+            grid_step=ns.grid_step, epsilon=ns.epsilon, lambda_0=ns.wavelength,
+            n_index=ns.n_index, loss_ratio=ns.loss_ratio,
+            gamma_star_ratio=ns.gamma_star_ratio)
+    except UnsupportedRegime as exc:
+        # The grid-step cap is fed by the scan range and step, the float
+        # range of the figures of merit by the diameters and the design.
+        flags = ("--d-min/--d-max/--grid-step" if "grid steps" in str(exc)
+                 else "--q0/--d-min/--d-max/--epsilon/--wavelength/"
+                      "--n-index/--loss-ratio/--gamma-star-ratio")
+        raise UnsupportedRegime(f"{flags}: {exc}") from None
     header = ("d_um", "Q", "V_um3", "Fp", "f", "Tmax", "Tmin",
               "contrast", "eta", "beta_sq")
     columns = ("d", "q", "v", "fp", "f", "t_max", "t_min",
@@ -367,7 +377,7 @@ def _cmd_pillar(ns, parser):
                     "Tmax": m.t_max, "Tmin": m.t_min, "contrast": m.contrast,
                     "eta": m.eta, "beta_sq": m.beta_sq},
         "diagnostics": {"optimizer": {"grid_points": res.grid_points,
-                                      "golden_probes": res.golden_probes}}}
+                                      "refine_scans": res.refine_scans}}}
 
 
 def _cmd_slowlight(ns, parser):

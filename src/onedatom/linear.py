@@ -1,9 +1,10 @@
 """Linear (unsaturated) response: spectra, scattering matrix, linewidths.
 
 `_fixed_point` is the one steady-state kernel of the package: the spectra
-are its zero-drive limit, and the nonlinear module evaluates it at finite
-drive.  The scattering matrix, linewidths and resonant extrema are the
-paper's closed forms for the unsaturated system (s_z = -1/2).
+are its zero-drive limit, the nonlinear module evaluates it at finite
+drive, and the pillar module takes T_min and T_max from it.  The scattering
+matrix, linewidths and resonant extrema are the paper's closed forms for
+the unsaturated system (s_z = -1/2); the extrema serve as a test oracle.
 """
 
 from __future__ import annotations
@@ -89,16 +90,18 @@ def _fixed_point(delta_omega, b_in, params: SystemParams):
     with u = (gamma_cav/2 + i(dw + delta))/kappa.  P_c is taken as a product
     of rate ratios, and every rate is scaled by the power of four 4^-k
     nearest 1/kappa (b_in by 2^-k, both exact), so no rate is squared or
-    leaves the float range.  Returns (p_c, x, s_z, s, t, r) shaped like the
-    broadcast inputs (Python numbers for scalars); x = 0 at zero drive, and
-    a limit beyond the float range gives NaN.
+    leaves the float range.  Rates may be arrays (kappa stays a scalar).
+    Returns (p_c, x, s_z, s, t, r) shaped like the broadcast inputs and
+    rates (Python numbers for scalars); x = 0 at zero drive, and a limit
+    beyond the float range gives NaN.
     """
-    shape = np.broadcast_shapes(np.shape(delta_omega), np.shape(b_in))
+    rates = [getattr(params, f.name) for f in fields(params)]
+    shape = np.broadcast_shapes(np.shape(delta_omega), np.shape(b_in),
+                                *map(np.shape, rates))
     k = math.frexp(params.kappa)[1] // 2
     dw = np.ldexp(np.atleast_1d(np.asarray(delta_omega, dtype=float)), -2 * k)
     b_in = np.atleast_1d(np.asarray(b_in, dtype=complex)) * math.ldexp(1.0, -k)
-    params = SystemParams(*(math.ldexp(getattr(params, f.name), -2 * k)
-                            for f in fields(params)))
+    params = SystemParams(*(np.ldexp(rate, -2 * k) for rate in rates))
     gamma = params.gamma
     with np.errstate(all="ignore"):
         qt0 = params.q_ratio * t0_prime(dw, params)

@@ -8,9 +8,11 @@ with eps = 0.007 and d = 2.4 um has Q = 960; tabulated profiles can be
 supplied instead.
 
 Every figure of merit comes from one array evaluation over a set of
-diameters: a diameter scan is one call, and a single design
-(:func:`figures_of_merit`, the optimizer's golden-section probes) is the
-same call on a one-element array, so both give the same bits.
+diameters: a diameter scan is one call, each refinement scan of the
+optimizer is one call, and a single design (:func:`figures_of_merit`) is
+the same call on a one-element array, so all give the same bits.  The
+resonant T_min and T_max are the steady-state kernel's transmission at zero
+drive and its empty-cavity limit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import NonFiniteInput, NonPositiveRate, UnsupportedRegime
-from .linear import resonance_extrema
+from .linear import _fixed_point, t0_prime
 from .model import ColumnRecord, SystemParams
 
 DEFAULT_EPSILON = 0.007        # etching-quality parameter, um
@@ -152,30 +154,17 @@ class DiameterSweep(ColumnRecord):
     beta_sq: np.ndarray
 
 
-def _resonance_extrema(q_ratio, f):
-    """``resonance_extrema(params_from_ratios(1.0, 500.0, q_ratio, f))``,
-    elementwise over arrays.
-
-    Q/Q0 and 1/f make the round trip through gamma_cav and gamma_at that
-    params_from_ratios makes, so every entry keeps that rounding.  The
-    gamma/kappa values are arbitrary: the resonant extrema depend on
-    (Q/Q0, f) only.
-    """
-    kappa = 500.0
-    return resonance_extrema(SystemParams(
-        1.0, kappa, gamma_at=q_ratio / f,
-        gamma_cav=2.0 * kappa * (1.0 / q_ratio - 1.0)))
-
-
 def _sweep(design: PillarDesign, d: np.ndarray,
            field_model: FieldProfileModel) -> DiameterSweep:
     """Figures of merit at the diameters ``d`` (a 1-d array, finite and
     > 0); ``design`` supplies every other parameter.
 
     f follows from the Purcell factor through
-    f = F_p / (loss_ratio + 2 gamma_star_ratio); the resonant extrema come
-    from the linear module for the induced (Q/Q0, f), so the two modules
-    agree exactly.
+    f = F_p / (loss_ratio + 2 gamma_star_ratio).  T_min is |t|^2 of the
+    steady-state kernel at zero drive and T_max that of its empty-cavity
+    limit -(Q/Q0) t0'(0), for the rates that params_from_ratios(1, 500,
+    Q/Q0, f) gives: Q/Q0 and 1/f make its round trip through gamma_cav and
+    gamma_at, and the resonant values depend on (Q/Q0, f) only.
     """
     # Overflow and 0/0 show up as a non-finite contrast or eta, checked below.
     with np.errstate(all="ignore"):
@@ -189,9 +178,14 @@ def _sweep(design: PillarDesign, d: np.ndarray,
         f = fp / (design.loss_ratio + 2.0 * design.gamma_star_ratio)
         # Q <= Q0; the clip only removes the last-bit excess 1/(1/Q0) can carry.
         q_ratio = np.minimum(q / design.q0, 1.0)
-        ext = _resonance_extrema(q_ratio, f)
+        params = SystemParams(1.0, 500.0, gamma_at=q_ratio / f,
+                              gamma_cav=1000.0 * (1.0 / q_ratio - 1.0))
+        t_max = np.abs(params.q_ratio * t0_prime(0.0, params)) ** 2
+        # T_min <= T_max; the clip only removes a last-bit excess.
+        t_min = np.minimum(np.abs(_fixed_point(0.0, 0.0, params)[4]) ** 2,
+                           t_max)
         beta = f / (1.0 + f)
-        contrast = ext.t_max - ext.t_min
+        contrast = t_max - t_min
         eta = beta * q_ratio
     # Every other column is finite where these two are.
     finite = np.isfinite(contrast + eta)
@@ -200,8 +194,8 @@ def _sweep(design: PillarDesign, d: np.ndarray,
             "figures of merit leave the float range at "
             f"d={float(d[np.argmin(finite)])!r}")
     return DiameterSweep(
-        d=d, q=q, v=v, fp=fp, f=f, q_ratio=q_ratio, t_max=ext.t_max,
-        t_min=ext.t_min, contrast=contrast, eta=eta, beta_sq=beta * beta)
+        d=d, q=q, v=v, fp=fp, f=f, q_ratio=q_ratio, t_max=t_max,
+        t_min=t_min, contrast=contrast, eta=eta, beta_sq=beta * beta)
 
 
 def figures_of_merit(design: PillarDesign,
@@ -247,7 +241,8 @@ _OBJECTIVE_COLUMN = {"contrast": "contrast", "purcell": "fp",
                      "efficiency": "eta", "beta_sq": "beta_sq"}
 OBJECTIVES = tuple(_OBJECTIVE_COLUMN)
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Points of each refinement scan: a bracket of two steps shrinks by 32.
+_REFINE_POINTS = 65
 #: Largest coarse scan of optimize_diameter (50 mm of diameters at 0.05 um).
 MAX_GRID_CELLS = 10 ** 6
 
@@ -262,8 +257,8 @@ class OptimizeResult:
     at_boundary: bool
     #: Diameters of the coarse scan.
     grid_points: int
-    #: Single-design evaluations of the golden-section refinement.
-    golden_probes: int
+    #: Refinement scans around the best point of the coarse scan.
+    refine_scans: int
 
 
 def optimize_diameter(q0, objective="contrast", d_range=(0.5, 8.0),
@@ -271,10 +266,12 @@ def optimize_diameter(q0, objective="contrast", d_range=(0.5, 8.0),
     """Maximize one figure of merit over the pillar diameter.
 
     Coarse grid scan (step <= 0.05 um, at most MAX_GRID_CELLS steps, one
-    array call) followed by golden-section refinement between the
-    neighbours of the best grid point.  A maximum on the range boundary is
-    reported through ``at_boundary`` (objective monotone over the range),
-    not raised.
+    array call), then refinement scans: each re-grids the bracket between
+    the neighbours of the best point (clamped at the scan's ends) with
+    _REFINE_POINTS points in one array call, until the bracket is at most
+    1e-7 um wide.  ``merit`` is the best row of the last scan.  A maximum on
+    the range boundary is reported through ``at_boundary`` (objective
+    monotone over the range), not raised.
     """
     if objective not in _OBJECTIVE_COLUMN:
         raise NonPositiveRate(
@@ -299,34 +296,18 @@ def optimize_diameter(q0, objective="contrast", d_range=(0.5, 8.0),
     grid = np.linspace(lo, hi, n)
     design = PillarDesign(q0=q0, d=lo, **design_kwargs)
     sweep = _sweep(design, grid, fm)
-    i_best = int(np.argmax(getattr(sweep, key)))
-    at_boundary = i_best in (0, len(grid) - 1)
-    probes = 0
-
-    def value_at(d):
-        nonlocal probes
-        probes += 1
-        return getattr(_sweep(design, np.array([d]), fm), key)[0]
-
-    if at_boundary:
-        d_opt = float(grid[i_best])
-    else:
-        a, b = float(grid[i_best - 1]), float(grid[i_best + 1])
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = value_at(c), value_at(d)
+    i = int(np.argmax(getattr(sweep, key)))
+    at_boundary = i in (0, n - 1)
+    scan, scans = sweep, 0
+    if not at_boundary:
+        a, b = grid[i - 1], grid[i + 1]
         while b - a > 1e-7:
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = value_at(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = value_at(d)
-        d_opt = 0.5 * (a + b)
-    merit = figures_of_merit(PillarDesign(q0=q0, d=d_opt, **design_kwargs), fm)
-    return OptimizeResult(d_opt=d_opt, value=getattr(merit, key),
+            scan = _sweep(design, np.linspace(a, b, _REFINE_POINTS), fm)
+            i = int(np.argmax(getattr(scan, key)))
+            a, b = scan.d[max(i - 1, 0)], scan.d[min(i + 1, _REFINE_POINTS - 1)]
+            scans += 1
+    merit = scan[i]
+    return OptimizeResult(d_opt=merit.d, value=getattr(merit, key),
                           objective=objective, merit=merit, sweep=sweep,
                           at_boundary=at_boundary, grid_points=n,
-                          golden_probes=probes)
+                          refine_scans=scans)

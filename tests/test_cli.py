@@ -677,6 +677,8 @@ def test_bistability_rejects_empty_fraction_list(tmp_path, capsys):
     ("--n-index", "inf"), ("--d-max", "inf"), ("--q0", "nan"),
     ("--epsilon", "nan"), ("--wavelength", "nan"),
     ("--gamma-star-ratio", "nan"), ("--loss-ratio", "inf"),
+    # Against the default --d-max 8 (was exit 3, "invalid d_range").
+    ("--d-min", "9"), ("--d-min", "8"),
 ])
 def test_pillar_bad_inputs_are_usage_errors(tmp_path, capsys, flag, value):
     out = tmp_path / "p.csv"
@@ -694,6 +696,11 @@ def test_pillar_bad_inputs_are_usage_errors(tmp_path, capsys, flag, value):
     (["--d-max", "1e300", "--grid-step", "1e-300"], "grid steps"),
     # (lambda/n)^3 overflows (was an OverflowError traceback).
     (["--wavelength", "1e300"], "figures of merit leave the float range"),
+    # The messages name the flags that feed them.
+    (["--d-max", "1e300", "--grid-step", "1e-300"],
+     "--d-min/--d-max/--grid-step: d_range"),
+    (["--wavelength", "1e300"], "--wavelength/--n-index/--loss-ratio/"
+                                "--gamma-star-ratio: figures of merit"),
 ])
 def test_pillar_scans_out_of_range_are_domain_errors(tmp_path, capsys, extra,
                                                      message):
@@ -724,7 +731,7 @@ def test_pillar_manifest_reports_the_optimizer_counts(tmp_path):
                 "--out", str(out)]) == 0
     manifest = read_manifest(out)
     assert manifest["diagnostics"] == {
-        "optimizer": {"grid_points": 376, "golden_probes": 29}}
+        "optimizer": {"grid_points": 376, "refine_scans": 4}}
     assert manifest["rows"] == 376
 
 

@@ -308,9 +308,10 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "onedatom"
 
 
 def test_special_case_formulas_are_not_production_paths():
-    # Every steady state, transmission and critical power comes from the
-    # one kernel; the paper's special-case formulas stay as test oracles.
-    oracles = {"phi_ideal", "phi_leaky", "susceptibility"}
+    # Every steady state, transmission, critical power and resonant extremum
+    # comes from the one kernel; the paper's special-case formulas stay as
+    # test oracles.
+    oracles = {"phi_ideal", "phi_leaky", "resonance_extrema", "susceptibility"}
     calls = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

@@ -1,4 +1,5 @@
-"""The pillar scan as one array call: columns, rows and input checks."""
+"""The pillar scan as one array call: columns, rows, the optimizer's
+refinement scans and input checks."""
 
 import math
 from dataclasses import fields
@@ -14,6 +15,8 @@ from onedatom import (DiameterSweep, FieldProfileModel, FiguresOfMerit,
                       default_field_model, figures_of_merit,
                       optimize_diameter, params_from_ratios,
                       resonance_extrema, sweep_diameter)
+from onedatom.linear import _fixed_point
+from onedatom.pillar import _OBJECTIVE_COLUMN, OBJECTIVES
 
 FIELD_MODELS = {
     "power_law": default_field_model(),
@@ -27,8 +30,10 @@ COLUMNS = [f.name for f in fields(FiguresOfMerit)]
 
 def reference_row(design, field_model):
     """The figures of merit of one design in Python-float arithmetic,
-    through params_from_ratios and resonance_extrema: an independent scalar
-    path that the array evaluation must match bit for bit.
+    through params_from_ratios and the scalar kernel: an independent scalar
+    path that the array evaluation must match bit for bit.  T_max is the
+    closed form (Q/Q0)^2, and the closed-form T_min of resonance_extrema
+    agrees with the kernel's to rounding.
     """
     if field_model.kind == "power_law":
         e2 = min(1.0, (field_model.c_e / design.d) ** field_model.p_exp)
@@ -41,11 +46,14 @@ def reference_row(design, field_model):
     fp = 3.0 * q * lam_n ** 3 / (4.0 * math.pi ** 2 * v)
     f = fp / (design.loss_ratio + 2.0 * design.gamma_star_ratio)
     q_ratio = min(q / design.q0, 1.0)
-    ext = resonance_extrema(params_from_ratios(1.0, 500.0, q_ratio, f))
+    params = params_from_ratios(1.0, 500.0, q_ratio, f)
+    ext = resonance_extrema(params)
+    t_min = min(abs(_fixed_point(0.0, 0.0, params)[4]) ** 2, ext.t_max)
+    assert math.isclose(t_min, ext.t_min, rel_tol=1e-14, abs_tol=0.0)
     beta = f / (1.0 + f)
     return FiguresOfMerit(
         d=design.d, q=q, v=v, fp=fp, f=f, q_ratio=q_ratio, t_max=ext.t_max,
-        t_min=ext.t_min, contrast=ext.t_max - ext.t_min, eta=beta * q_ratio,
+        t_min=t_min, contrast=ext.t_max - t_min, eta=beta * q_ratio,
         beta_sq=beta * beta)
 
 
@@ -87,12 +95,96 @@ def test_optimizer_sweep_and_probes_share_the_scan():
     res = optimize_diameter(1000.0, "contrast")
     assert isinstance(res.sweep, DiameterSweep)
     assert res.grid_points == len(res.sweep) == 376
-    # Golden section from a bracket of two grid steps (0.04 um) to 1e-7 um.
-    assert res.golden_probes == 29
+    # 65-point scans shrink a bracket of two grid steps (0.04 um) by 32 each,
+    # to 3.8e-8 um <= 1e-7 um after 4.
+    assert res.refine_scans == 4
     assert res.merit == figures_of_merit(PillarDesign(q0=1000.0, d=res.d_opt))
     assert res.value == res.merit.contrast >= float(np.max(res.sweep.contrast))
+    # The golden-section search that the scans replaced reached these.
+    assert res.value >= 0.8518584770097322
+    assert abs(res.d_opt - 2.4315369952486776) <= 1e-7
     boundary = optimize_diameter(1000.0, "purcell", d_range=(3.0, 8.0))
-    assert boundary.at_boundary and boundary.golden_probes == 0
+    assert boundary.at_boundary and boundary.refine_scans == 0
+
+
+def golden_section(q0, objective, field_model, a, b, **design_kwargs):
+    """Maximum of one objective on [a, b] by golden-section search down to
+    a 1e-7 um bracket, one single-design evaluation per probe: the
+    refinement the optimizer used before its array scans.
+    """
+    key = _OBJECTIVE_COLUMN[objective]
+
+    def value(d):
+        design = PillarDesign(q0=q0, d=d, **design_kwargs)
+        return getattr(figures_of_merit(design, field_model), key)
+
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = value(c), value(d)
+    while b - a > 1e-7:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = value(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = value(d)
+    return value(0.5 * (a + b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q0=st.floats(10.0, 1e6), objective=st.sampled_from(OBJECTIVES),
+       model=st.sampled_from(sorted(FIELD_MODELS)), kwargs=design_kwargs)
+def test_refinement_scans_reach_the_golden_section_optimum(q0, objective,
+                                                           model, kwargs):
+    fm = FIELD_MODELS[model]
+    res = optimize_diameter(q0, objective, field_model=fm, **kwargs)
+    column = getattr(res.sweep, _OBJECTIVE_COLUMN[objective])
+    i = int(np.argmax(column))
+    if res.at_boundary:
+        assert res.refine_scans == 0 and res.d_opt == res.sweep.d[i]
+        return
+    a, b = float(res.sweep.d[i - 1]), float(res.sweep.d[i + 1])
+    assert a <= res.d_opt <= b
+    golden = golden_section(q0, objective, fm, a, b, **kwargs)
+    assert res.value >= golden - 1e-12 * abs(golden)
+
+
+def test_refinement_clamps_a_maximum_on_a_scan_edge():
+    # |E(d)|^2 dips to 0 over one ulp at d = 2.2, a node of the coarse scan
+    # but of no refinement scan: the first refinement scan sees only the
+    # decreasing Purcell factor of |E|^2 = 0.5, so its maximum is its first
+    # point.  The next bracket is clamped to [first, second point] rather
+    # than wrapping round to the last one, and every later scan keeps its
+    # maximum on that first point, the coarse neighbour d = 2.18.
+    grid = np.linspace(1.0, 3.0, 101)
+    dip = grid[60]
+    assert dip not in np.linspace(grid[59], grid[61], 65)
+    fm = FieldProfileModel(kind="tabulated", table=[
+        (0.5, 0.5), (np.nextafter(dip, 0.0), 0.5), (dip, 0.0),
+        (np.nextafter(dip, 8.0), 0.5), (8.0, 0.5)])
+    res = optimize_diameter(1000.0, "purcell", d_range=(1.0, 3.0),
+                            field_model=fm)
+    assert res.grid_points == 101 and not res.at_boundary
+    assert int(np.argmax(res.sweep.fp)) == 60
+    assert res.refine_scans == 4
+    assert res.d_opt == grid[59] and res.merit == res.sweep[59]
+
+
+extreme_ratio = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(q0=st.floats(0.0, 12.0).map(lambda e: 10.0 ** e),
+       loss_ratio=extreme_ratio,
+       gamma_star_ratio=st.just(0.0) | extreme_ratio)
+def test_contrast_is_never_negative(q0, loss_ratio, gamma_star_ratio):
+    sweep = sweep_diameter(q0, np.linspace(0.3, 10.0, 40),
+                           loss_ratio=loss_ratio,
+                           gamma_star_ratio=gamma_star_ratio)
+    assert np.all(sweep.t_min <= sweep.t_max)
+    assert np.all(sweep.contrast >= 0.0)
 
 
 def test_q_ratio_is_clipped_at_one():
