@@ -4,8 +4,9 @@ This module is the independent oracle for every closed-form steady state in
 the package.  Both descriptions it offers are linear with constant
 coefficients, so the deviation z of the state from its fixed point obeys
 z(t + h) = exp(M h) z(t) exactly: `integrate` takes one exp(M h) per
-distinct sample spacing h (Pade-13 scaling and squaring, in numpy) and one
-matrix-vector product per sample; only the number of squarings grows, as
+distinct sample spacing h (Pade-13 scaling and squaring, in numpy) and
+about log2(rows) array products per 4096-row block of equally spaced
+samples, by doubling; only the number of squarings in exp(M h) grows, as
 the logarithm of the fastest rate times h.
 
 The default description is the cavity-eliminated dipole equations (valid
@@ -212,7 +213,8 @@ def _master(drive: DriveField, params: SystemParams, initial: BlochState,
 def _propagate(drive: DriveField, params: SystemParams,
                initial: BlochState, full_system: bool, steps):
     """(s, s_z, <a>, squarings, Fock states) at the times that ``steps``
-    reach from 0, with one exp(M h) per distinct step h.  The full system
+    reach from 0, with one exp(M h) per distinct step h and about log2(n)
+    products per run of n equal steps in a block.  The full system
     runs on 3, 4, ... FOCK_MAX Fock states and returns from the first whose
     top state stays below FOCK_TAIL at every sample."""
     if np.ndim(drive.delta_omega) or np.ndim(drive.b_in):
@@ -239,19 +241,39 @@ def _propagate(drive: DriveField, params: SystemParams,
                    for n in range(3, FOCK_MAX + 1)
                    if weights[n - 1] < FOCK_TAIL * weights[:n].sum())
     for system in systems:
-        propagators, squarings, blocks = {}, 0, []
+        # powers[h][i] is exp(M h)^(2^i), squared up from the last as needed.
+        powers, squarings, blocks = {}, 0, []
         z = system.y0 - system.fixed
         # Read off in blocks: the master equation's state has up to 256
         # entries per sample, and a run up to 10^7 samples.
         for first in range(0, len(steps), 4096):
-            y = np.empty((min(4096, len(steps) - first), z.size), z.dtype)
-            for k, h in enumerate(steps[first:first + 4096].tolist()):
-                if h:
-                    if h not in propagators:
-                        propagators[h], n = _expm(system.m, h, system.sink)
-                        squarings += n
-                    z = propagators[h] @ z
-                y[k] = z
+            block = steps[first:first + 4096]
+            y = np.empty((block.size, z.size), z.dtype)
+            # Each run [k, stop) of equal steps h by doubling: row k is
+            # exp(M h) z, and rows [k + m, k + 2m) are rows [k, k + m) times
+            # exp(M h)^m, so a run costs about log2(stop - k) products.
+            cuts = (np.flatnonzero(block[1:] != block[:-1]) + 1).tolist()
+            hs = block.tolist()
+            for k, stop in zip([0] + cuts, cuts + [block.size]):
+                h = hs[k]
+                if not h:
+                    y[k:stop] = z
+                    continue
+                if h not in powers:
+                    e, n = _expm(system.m, h, system.sink)
+                    powers[h] = [e]
+                    squarings += n
+                power = powers[h]
+                y[k] = power[0] @ z
+                m, i = 1, 0
+                while k + m < stop:
+                    if i == len(power):
+                        power.append(power[-1] @ power[-1])
+                    rows = min(m, stop - k - m)
+                    y[k + m:k + m + rows] = y[k:k + rows] @ power[i].T
+                    m, i = 2 * m, i + 1
+                z = y[stop - 1]
+            z = z.copy()                # frees the block
             blocks.append((y + system.fixed) @ system.read.T)
         s, s_z, a, top = np.concatenate(blocks).T
         if not np.max(top.real) >= FOCK_TAIL:    # callers report a NaN

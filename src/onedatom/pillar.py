@@ -271,7 +271,8 @@ def optimize_diameter(q0, objective="contrast", d_range=(0.5, 8.0),
     _REFINE_POINTS points in one array call, until the bracket is at most
     1e-7 um wide.  ``merit`` is the best row of the last scan.  A maximum on
     the range boundary is reported through ``at_boundary`` (objective
-    monotone over the range), not raised.
+    monotone over the range), not raised; so is a contrast no larger than
+    4 eps max(T_max), the rounding of T_max - T_min, at the first point.
     """
     if objective not in _OBJECTIVE_COLUMN:
         raise NonPositiveRate(
@@ -296,7 +297,13 @@ def optimize_diameter(q0, objective="contrast", d_range=(0.5, 8.0),
     grid = np.linspace(lo, hi, n)
     design = PillarDesign(q0=q0, d=lo, **design_kwargs)
     sweep = _sweep(design, grid, fm)
-    i = int(np.argmax(getattr(sweep, key)))
+    values = getattr(sweep, key)
+    i = int(np.argmax(values))
+    # A contrast within rounding of T_max - T_min is flat: its maximum is
+    # noise, so the first grid point is reported as a boundary optimum.
+    if (key == "contrast"
+            and values[i] <= 4.0 * np.finfo(float).eps * np.max(sweep.t_max)):
+        i = 0
     at_boundary = i in (0, n - 1)
     scan, scans = sweep, 0
     if not at_boundary:

@@ -735,6 +735,25 @@ def test_pillar_manifest_reports_the_optimizer_counts(tmp_path):
     assert manifest["rows"] == 376
 
 
+def test_pillar_contrast_lost_to_rounding_is_a_boundary_optimum(tmp_path):
+    # gamma* = 1e300 gamma leaves a contrast of about 1e-300: T_max - T_min
+    # is rounding noise, so no interior optimum is refined out of it.
+    out = tmp_path / "pillar_sweep.csv"
+    assert run(["pillar", "--q0", "1000", "--gamma-star-ratio", "1e300",
+                "--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    res = manifest["results"]
+    assert res["at_boundary"] is True
+    assert res["d_opt"] == 0.5
+    assert res["contrast"] == res["value"] == 0.0
+    assert manifest["diagnostics"] == {
+        "optimizer": {"grid_points": 376, "refine_scans": 0}}
+    _, rows = read_csv(out)
+    contrast = np.array([float(row[7]) for row in rows])
+    t_max = np.array([float(row[5]) for row in rows])
+    assert 0.0 < contrast.max() <= 4.0 * np.finfo(float).eps * t_max.max()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--rtol", "-1"), ("--rtol", "0"), ("--rtol", "1e-20"), ("--rtol", "nan"),
     ("--atol", "0")])

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -122,6 +123,20 @@ def test_settle_no_convergence_for_glacial_system():
     drive = DriveField.from_power(0.0, 0.25)
     with pytest.raises(NoConvergence):
         settle(drive, p, 1e-12)
+
+
+@pytest.mark.parametrize("tol", [1e-11, 1e-12, 1e-13])
+@pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
+def test_settle_converges_at_tight_tolerances(x, tol):
+    # The propagation is exact, so the change per window falls to the
+    # rounding of the state itself: kappa/gamma = 500 settles in 8-10
+    # windows even at tol = 1e-13, on the closed-form steady state.
+    drive = DriveField.from_power(0.0, x * critical_power(0.0, IDEAL))
+    res = settle(drive, IDEAL, tol)
+    st = steady_state(drive, IDEAL)
+    assert 8 <= res.windows <= 10
+    assert abs(res.state.s - st.s) < 10.0 * tol
+    assert abs(res.state.s_z - st.s_z) < 10.0 * tol
 
 
 def test_full_system_linear_steady_state_matches_eliminated():
@@ -681,6 +696,107 @@ def test_explicit_sample_times():
 def test_integrate_rejects_bad_sample_times(times):
     with pytest.raises(DomainError, match="samples"):
         integrate(NO_DRIVE, IDEAL, BlochState.ground(), 10.0, samples=times)
+
+
+# ---------------------------------------------------------------------------
+# Doubling against the per-sample loop it replaced
+
+def _loop_states(system, steps):
+    """The per-sample loop: one exp(M h) per distinct step h and one
+    matrix-vector product per sample; (s, s_z, <a>, top population)."""
+    propagators, z, rows = {}, system.y0 - system.fixed, []
+    for h in steps.tolist():
+        if h:
+            if h not in propagators:
+                propagators[h] = dynamics._expm(system.m, h, system.sink)[0]
+            z = propagators[h] @ z
+        rows.append(z)
+    return _observe(system, np.array(rows) + system.fixed)
+
+
+def _eliminated_system(drive, params, initial):
+    a, fixed, _ = dynamics._bloch(drive, params)
+    read = np.array([[1.0, 1j, 0.0], [0.0, 0.0, 1.0], [0.0] * 3, [0.0] * 3])
+    y0 = np.array([initial.s.real, initial.s.imag, initial.s_z])
+    return dynamics._System(a, fixed, y0, 0.0, read, None)
+
+
+def _loop_propagate(drive, params, initial, full_system, steps):
+    """`dynamics._propagate` for the eliminated equations, by the loop."""
+    assert not full_system
+    s, s_z, a, _ = _loop_states(_eliminated_system(drive, params, initial),
+                                steps)
+    return s, s_z, a, 0, None
+
+
+def _uniform_steps(duration, samples):
+    steps = np.full(samples, duration / (samples - 1))
+    steps[0] = 0.0
+    return steps
+
+
+# Explicit times: a run of 39 equal steps (multiples of 5/8 are exact),
+# then steps that all differ.
+_EXPLICIT = np.concatenate([
+    0.625 * np.arange(40.0),
+    np.sort(np.random.default_rng(7).uniform(24.4, 40.0, 200))])
+
+# Strongly driven and detuned; a leaky, detuned cavity.
+_STRONG = make_params(1.0, 500.0, delta=150.0)
+_LEAKY = params_from_ratios(1.0, 500.0, q_ratio=0.95, f=20.0, delta=30.0)
+
+
+@pytest.mark.parametrize("params, x, dw, steps, fock_levels", [
+    (_STRONG, 50.0, 2.7, _uniform_steps(20.0, 1001), None),
+    (_STRONG, 50.0, 2.7, _uniform_steps(20.0, 10001), None),  # 4096-row blocks
+    (_STRONG, 50.0, 2.7, np.diff(_EXPLICIT, prepend=0.0), None),
+    (_LEAKY, 0.3, -1.0, _uniform_steps(40.0, 1001), None),
+    (_LEAKY, 1e-3, 0.5, _uniform_steps(20.0, 1001), 3),
+    (_LEAKY, 0.3, 0.5, _uniform_steps(20.0, 1001), 4),
+    (_LEAKY, 3.0, 0.0, _uniform_steps(20.0, 1001), 5),
+    (_LEAKY, 3.0, 0.0, _uniform_steps(20.0, 10001), 5),
+    (_LEAKY, 0.3, 0.5, np.diff(_EXPLICIT, prepend=0.0), 4),
+], ids=["eliminated-1001", "eliminated-10001", "eliminated-explicit",
+        "eliminated-leaky", "fock3-1001", "fock4-1001", "fock5-1001",
+        "fock5-10001", "fock4-explicit"])
+def test_doubling_matches_the_per_sample_loop(params, x, dw, steps,
+                                              fock_levels):
+    drive = DriveField.from_power(dw, x * critical_power(dw, params))
+    s, s_z, a, _, levels = dynamics._propagate(
+        drive, params, BlochState.ground(), fock_levels is not None, steps)
+    assert levels == fock_levels
+    if fock_levels:
+        system = _master_system(drive, params, levels)
+    else:
+        system = _eliminated_system(drive, params, BlochState.ground())
+    want_s, want_s_z, want_a, _ = _loop_states(system, steps)
+    assert s.shape == want_s.shape == (steps.size,)
+    assert np.max(np.abs(s - want_s)) <= 1e-13
+    assert np.max(np.abs(s_z - want_s_z)) <= 1e-13
+    assert np.max(np.abs(a - want_a)) <= 1e-13
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=driven_systems())
+def test_settle_matches_the_per_sample_loop(system):
+    # The same windows, and the same state to rounding, or the same error.
+    drive, params = system
+
+    def outcome():
+        try:
+            return settle(drive, params)
+        except (NoConvergence, UnsupportedRegime) as err:
+            return type(err)
+
+    got = outcome()
+    with mock.patch.object(dynamics, "_propagate", _loop_propagate):
+        want = outcome()
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert (got.windows, got.time) == (want.windows, want.time)
+    assert abs(got.state.s - want.state.s) <= 1e-14
+    assert abs(got.state.s_z - want.state.s_z) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
