@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DephasingUnsupported, NonPositiveRate, UnsupportedRegime
 from .linear import _fixed_point, transmission_leaky
-from .model import SystemParams
+from .model import SystemParams, _block_slices, _blockwise
 
 PLANCK_J_S = 6.62607015e-34
 C_LIGHT_M_S = 2.99792458e8
@@ -92,35 +92,52 @@ def bistability_scan(params: SystemParams, fraction_a, x_grid) -> BistabilityRes
     `_fixed_point` gives P_t = P_e |t|^2, x_eff = P_e/P_c and, through
     dt/dx_eff = (t_inf - t)/(1 + x_eff) with t_inf = -(Q/Q0) t0'(0),
     dP_t/dP_e = |t|^2 + 2 x_eff Re(conj(t) (t_inf - t))/(1 + x_eff); two
-    more calls give a central difference (step 1e-5 (1+x)).  A fraction A
-    gives a unique solution if P_0 = P_e - A P_t increases strictly over the
-    grid; an array ``fraction_a`` gives arrays of fractions and verdicts.
+    more calls give a central difference (step 1e-5 (1+x)).  The columns
+    are filled a block of `csvio.BLOCK_ROWS` points at a time
+    (`model._blockwise`); ``max_slope`` and the verdicts come from the
+    assembled columns.  A fraction A gives a unique solution if
+    P_0 = P_e - A P_t increases strictly over the grid, checked one
+    fraction and one block (with the point before it) at a time; an array
+    ``fraction_a`` gives arrays of fractions and verdicts.
     """
     a = np.asarray(fraction_a, dtype=float)
     if not np.all((0.0 <= a) & (a < 1.0)):
         raise NonPositiveRate(f"fraction_a must be in [0, 1), got {fraction_a}")
-    x = np.asarray(x_grid, dtype=float)
+    x = np.asarray(x_grid, dtype=float).reshape(-1)
     if x.size < 2 or np.any(x <= 0.0) or np.any(np.diff(x) <= 0.0):
         raise NonPositiveRate("x_grid must be positive, sorted, len >= 2")
     quarter_gamma = 0.25 * params.gamma
-    h = 1e-5 * (1.0 + x)
-    p_t_hi, p_t_lo = (p * np.abs(_fixed_point(0.0, np.sqrt(p), params)[4]) ** 2
-                      for p in (quarter_gamma * (x + h), quarter_gamma * (x - h)))
-    slope_numeric = (p_t_hi - p_t_lo) / (2.0 * quarter_gamma * h)
-    p_e = quarter_gamma * x
-    _, x_eff, _, _, t, _ = _fixed_point(0.0, np.sqrt(p_e), params)
-    cap_t = np.abs(t) ** 2
-    p_t = p_e * cap_t
     t_inf = transmission_leaky(0.0, params, empty_cavity=True).t
-    slope_analytic = cap_t + 2.0 * x_eff * (
-        t.conjugate() * (t_inf - t)).real / (1.0 + x_eff)
-    p_0 = p_e - a[..., None] * p_t
-    unique = np.all(np.diff(p_0, axis=-1) > 0.0, axis=-1)
+
+    def block(sl):
+        xb = x[sl]
+        h = 1e-5 * (1.0 + xb)
+        p_t_hi, p_t_lo = (
+            p * np.abs(_fixed_point(0.0, np.sqrt(p), params)[4]) ** 2
+            for p in (quarter_gamma * (xb + h), quarter_gamma * (xb - h)))
+        slope_numeric = (p_t_hi - p_t_lo) / (2.0 * quarter_gamma * h)
+        p_e = quarter_gamma * xb
+        _, x_eff, _, _, t, _ = _fixed_point(0.0, np.sqrt(p_e), params)
+        cap_t = np.abs(t) ** 2
+        slope_analytic = cap_t + 2.0 * x_eff * (
+            t.conjugate() * (t_inf - t)).real / (1.0 + x_eff)
+        return p_e, p_e * cap_t, slope_analytic, slope_numeric
+
+    p_e, p_t, slope_analytic, slope_numeric = _blockwise(
+        x.size, (float,) * 4, block)
+
+    def increasing(fraction):
+        return all(np.all(np.diff(p_e[s] - fraction * p_t[s]) > 0.0)
+                   for s in (slice(max(sl.start - 1, 0), sl.stop)
+                             for sl in _block_slices(x.size)))
+
+    unique = np.array([increasing(v) for v in a.reshape(-1)], dtype=bool)
     return BistabilityResult(
         fraction_a=a.tolist() if a.ndim == 0 else a, x=x, p_e=p_e, p_t=p_t,
         slope_analytic=slope_analytic, slope_numeric=slope_numeric,
         max_slope=float(max(slope_analytic.max(), slope_numeric.max())),
-        unique_solution=unique.tolist() if a.ndim == 0 else unique)
+        unique_solution=(unique.item() if a.ndim == 0
+                         else unique.reshape(a.shape)))
 
 
 @dataclass(frozen=True)
@@ -145,8 +162,9 @@ def contrast_enhancement(x, extinction_in, params: SystemParams) -> ReshapeResul
     d.  The leaky ratio c_leaky = (1/d) T(x)/T(x/d) is taken as
     (|t(x)/t(x/d)|/sqrt(d))^2 from the kernel's resonant amplitudes; at
     x = 0 it is the limit, d if t(0) = 0 (no emitter loss), else 1/d.
-    ``x`` may be an array of saturations, evaluated in one call; a scalar
-    gives Python floats.
+    ``x`` may be an array of saturations, evaluated a block of
+    `csvio.BLOCK_ROWS` at a time (`model._blockwise`); a scalar gives Python
+    floats.
     """
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0):
@@ -155,14 +173,19 @@ def contrast_enhancement(x, extinction_in, params: SystemParams) -> ReshapeResul
         raise NonPositiveRate(f"extinction_in must be > 1, got {extinction_in}")
     d = float(extinction_in)
     flat = xs.reshape(-1)
-    c_ideal = d * ((1.0 + flat) / (1.0 + flat / d)) ** 2
-    drive = np.sqrt(0.25 * params.gamma * np.stack((flat, flat / d)))
-    *_, t, _ = _fixed_point(0.0, drive, params)
-    # t(0) = 0 without emitter losses: 0/0 at x = 0, replaced by the limit.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = (np.abs(t[0] / t[1]) / math.sqrt(d)) ** 2
-    c_leaky = np.where(flat == 0.0, d if params.loss_rate == 0.0 else 1.0 / d,
-                       ratio)
+    at_zero = d if params.loss_rate == 0.0 else 1.0 / d
+
+    def block(sl):
+        xb = flat[sl]
+        drive = np.sqrt(0.25 * params.gamma * np.stack((xb, xb / d)))
+        *_, t, _ = _fixed_point(0.0, drive, params)
+        # t(0) = 0 without emitter losses: 0/0 at x = 0, replaced by the limit.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = (np.abs(t[0] / t[1]) / math.sqrt(d)) ** 2
+        return (d * ((1.0 + xb) / (1.0 + xb / d)) ** 2,
+                np.where(xb == 0.0, at_zero, ratio))
+
+    c_ideal, c_leaky = _blockwise(flat.size, (float, float), block)
     if xs.ndim == 0:
         return ReshapeResult(xs.item(), d, c_ideal.item(), c_leaky.item())
     return ReshapeResult(xs, d, c_ideal.reshape(xs.shape), c_leaky.reshape(xs.shape))

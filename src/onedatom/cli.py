@@ -261,23 +261,28 @@ def _build_params(ns, parser, *, force_ideal=False):
 
 def _cmd_spectrum(ns, parser):
     from .linear import transmission_leaky
-    from .model import DriveField
+    from .model import DriveField, _blockwise
     from .nonlinear import scatter_nonlinear
     nu = _grid_option(parser, "--grid", ns.grid)
     params = _build_params(ns, parser)
     _check_drive(parser, ns, "--x", ns.x, params.gamma)
     dw = nu * params.kappa - params.delta
-    empty = transmission_leaky(dw, params, empty_cavity=True,
-                               evanescent=ns.evanescent)
-    out = scatter_nonlinear(
-        DriveField.from_power(dw, 0.25 * ns.x * params.gamma), params)
-    t, r, cap_t, cap_r = out.t, out.r, out.cap_t, out.cap_r
-    if ns.evanescent:
-        t, r, cap_t, cap_r = r, t, cap_r, cap_t
+    # Checks the whole grid, so a refusal names the detuning's index in it.
+    drive = DriveField.from_power(dw, 0.25 * ns.x * params.gamma)
+
+    def block(sl):
+        empty = transmission_leaky(dw[sl], params, empty_cavity=True,
+                                   evanescent=ns.evanescent)
+        out = scatter_nonlinear(DriveField(dw[sl], drive.b_in), params)
+        t, r, cap_t, cap_r = out.t, out.r, out.cap_t, out.cap_r
+        if ns.evanescent:
+            t, r, cap_t, cap_r = r, t, cap_r, cap_t
+        return (t.real, t.imag, r.real, r.imag, cap_t, cap_r,
+                1.0 - cap_t - cap_r, empty.cap_t)
+
     header = ("nu", "delta_omega", "re_t", "im_t", "re_r", "im_r",
               "cap_t", "cap_r", "leaks", "cap_t0")
-    return header, (nu, dw, t.real, t.imag, r.real, r.imag, cap_t, cap_r,
-                    1.0 - cap_t - cap_r, empty.cap_t), {
+    return header, (nu, dw, *_blockwise(dw.size, (float,) * 8, block)), {
         "derived": _params_view(params)}
 
 

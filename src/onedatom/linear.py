@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import LeakyNotSupported, ScanFailed, UnsupportedRegime
-from .model import SystemParams
+from .model import SystemParams, _blockwise
 
 
 def empty_cavity_t0(delta_omega, params: SystemParams) -> complex:
@@ -137,22 +137,28 @@ def transmission_leaky(delta_omega, params: SystemParams, *,
     ``evanescent=True`` swaps t and r, describing the geometry where the
     uncoupled cavity transmits instead of reflecting.
 
-    ``delta_omega`` may be a scalar or an array.  A scalar runs as a
+    ``delta_omega`` may be a scalar or an array, evaluated in blocks of
+    `csvio.BLOCK_ROWS` detunings (`model._blockwise`).  A scalar runs as a
     one-element array through the same numpy operations, so it gives
     bit for bit the entry the array call gives, returned as Python numbers.
     """
     dw = np.asarray(delta_omega, dtype=float)
     flat = dw.reshape(-1)
-    if empty_cavity:
-        t = -params.q_ratio * t0_prime(flat, params)
-        r = 1.0 + t
-    else:
-        *_, t, r = _fixed_point(flat, 0.0, params)
-    if evanescent:
-        t, r = r, t
-    cap_t = np.abs(t) ** 2
-    cap_r = np.abs(r) ** 2
-    columns = (flat, t, r, cap_t, cap_r, 1.0 - cap_t - cap_r)
+
+    def block(sl):
+        if empty_cavity:
+            t = -params.q_ratio * t0_prime(flat[sl], params)
+            r = 1.0 + t
+        else:
+            *_, t, r = _fixed_point(flat[sl], 0.0, params)
+        if evanescent:
+            t, r = r, t
+        cap_t = np.abs(t) ** 2
+        cap_r = np.abs(r) ** 2
+        return t, r, cap_t, cap_r, 1.0 - cap_t - cap_r
+
+    columns = (flat, *_blockwise(flat.size, (complex, complex, float, float,
+                                            float), block))
     if dw.ndim == 0:
         return LinearSpectrumPoint(*(c.item() for c in columns))
     return LinearSpectrumPoint(*(c.reshape(dw.shape) for c in columns))

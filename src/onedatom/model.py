@@ -4,6 +4,9 @@ Unit convention: every rate (gamma, kappa, detunings, leak rates) is an
 angular frequency expressed in one common unit chosen by the caller.  The
 physics is scale free; the CLI defaults normalize ``kappa = 1``.  Input
 amplitudes are in sqrt(photons/s), powers in photons/s.
+
+The grid sweeps share `_blockwise`, which fills their output columns one
+block of `csvio.BLOCK_ROWS` points at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .csvio import BLOCK_ROWS
 from .errors import InvalidInitial, NonFiniteInput, NonPositiveRate
 
 #: gamma/kappa threshold under which the adiabatic elimination of the cavity
@@ -160,10 +164,7 @@ class DriveField:
 
     def __post_init__(self):
         for name in ("delta_omega", "b_in"):
-            bad = ~np.isfinite(getattr(self, name))
-            if np.any(bad):
-                raise NonFiniteInput(
-                    f"{name} must be finite, got {_show(getattr(self, name), bad)}")
+            _require_finite_entries(name, getattr(self, name))
 
     @property
     def p_in(self) -> float:
@@ -186,12 +187,45 @@ class DriveField:
                    np.sqrt(p_in).astype(complex))
 
 
-def _show(value, bad):
-    """Repr of a scalar, or of the first entry of an array flagged in ``bad``."""
+def _show(value, bad, start=0):
+    """Repr of a scalar, or of the first entry of an array flagged in
+    ``bad`` with its index plus ``start``."""
     if np.ndim(value) == 0:
         return repr(value)
     i = int(np.argmax(np.ravel(bad)))
-    return f"{np.ravel(value)[i]!r} at index {i}"
+    return f"{np.ravel(value)[i]!r} at index {start + i}"
+
+
+def _require_finite_entries(name, value, start=0):
+    """NonFiniteInput naming the first entry of ``value`` that is not
+    finite; ``start`` is the index of the first entry in its grid."""
+    bad = ~np.isfinite(value)
+    if np.any(bad):
+        raise NonFiniteInput(f"{name} must be finite, got "
+                             f"{_show(value, bad, start)}")
+
+
+def _block_slices(n):
+    """The slices [lo, lo + BLOCK_ROWS) that cover range(n), in order."""
+    return (slice(lo, min(lo + BLOCK_ROWS, n))
+            for lo in range(0, n, BLOCK_ROWS))
+
+
+def _blockwise(n, dtypes, fill):
+    """Columns of ``n`` entries, one per dtype, filled a block at a time.
+
+    ``fill(sl)`` returns one value per column for the points of the slice
+    ``sl`` (see `_block_slices`), and each is written into its column,
+    allocated up front.  So a sweep holds its output columns plus the
+    intermediates of one block of `csvio.BLOCK_ROWS` points, whatever n
+    is; a grid of at most BLOCK_ROWS points, a scalar among them, is one
+    block.
+    """
+    columns = [np.empty(n, dtype) for dtype in dtypes]
+    for sl in _block_slices(n):
+        for column, value in zip(columns, fill(sl)):
+            column[sl] = value
+    return columns
 
 
 class ColumnRecord:

@@ -19,7 +19,8 @@ from .errors import (DephasingUnsupported, LeakyNotSupported,
                      UnsupportedRegime)
 from .linear import _fixed_point, empty_cavity_t0, t0_prime
 from .model import (BlochState, ColumnRecord, DriveField, ScatteringOutcome,
-                    SystemParams, outcome_from_amplitudes)
+                    SystemParams, _blockwise, _require_finite_entries,
+                    outcome_from_amplitudes)
 
 #: Saturation range where the semiclassical factorization is qualitative
 #: only (the incoherent noise power is comparable to the coherent signal).
@@ -167,8 +168,9 @@ def saturation_curve(params: SystemParams, x_grid) -> SaturationCurve:
     ``x_grid`` must be nonnegative and sorted; each x is the resonant-ideal
     normalization 4 P_in/gamma.  Points with 0.1 < x_eff < 10 are flagged
     as semiclassical-caution (the factorization is qualitative across the
-    nonlinear jump).  The whole grid is one array drive through
-    :func:`scatter_nonlinear`.
+    nonlinear jump).  Each block of `csvio.BLOCK_ROWS` points is one array
+    drive through :func:`scatter_nonlinear` (`model._blockwise`), and the
+    flags come from the assembled x_eff column.
     """
     xs = np.asarray(x_grid, dtype=float).reshape(-1)
     if np.any(xs < 0.0):
@@ -176,13 +178,19 @@ def saturation_curve(params: SystemParams, x_grid) -> SaturationCurve:
     if np.any(xs[1:] < xs[:-1]):
         raise UnsupportedRegime("x_grid must be sorted ascending")
     p_c = critical_power(0.0, params)
-    drive = DriveField.from_power(0.0, 0.25 * xs * params.gamma)
-    out = scatter_nonlinear(drive, params)
-    p_in = drive.p_in
-    x_eff = p_in / p_c
-    noise = np.divide(out.p_noise, p_in, out=np.zeros_like(p_in),
-                      where=p_in > 0.0)
+
+    def block(sl):
+        b_in = np.sqrt(0.25 * xs[sl] * params.gamma).astype(complex)
+        _require_finite_entries("b_in", b_in, sl.start)
+        drive = DriveField(0.0, b_in)
+        out = scatter_nonlinear(drive, params)
+        p_in = drive.p_in
+        noise = np.divide(out.p_noise, p_in, out=np.zeros_like(p_in),
+                          where=p_in > 0.0)
+        return (p_in / p_c, out.cap_t, out.cap_r, noise, out.p_t / p_c,
+                out.p_r / p_c)
+
+    x_eff, *columns = _blockwise(xs.size, (float,) * 6, block)
     return SaturationCurve(
-        x=xs, x_eff=x_eff, cap_t=out.cap_t, cap_r=out.cap_r, noise_frac=noise,
-        p_t_over_p_c=out.p_t / p_c, p_r_over_p_c=out.p_r / p_c,
+        xs, x_eff, *columns,
         caution=(CAUTION_RANGE[0] < x_eff) & (x_eff < CAUTION_RANGE[1]))

@@ -269,7 +269,9 @@ def optimize_diameter(q0, objective="contrast", d_range=(0.5, 8.0),
     array call), then refinement scans: each re-grids the bracket between
     the neighbours of the best point (clamped at the scan's ends) with
     _REFINE_POINTS points in one array call, until the bracket is at most
-    1e-7 um wide.  ``merit`` is the best row of the last scan.  A maximum on
+    1e-7 um wide.  ``merit`` is the best row of the last scan, unless the
+    best row of the coarse scan is better (a feature narrower than a
+    refinement step, which the refinement scans miss).  A maximum on
     the range boundary is reported through ``at_boundary`` (objective
     monotone over the range), not raised; so is a contrast no larger than
     4 eps max(T_max), the rounding of T_max - T_min, at the first point.
@@ -305,6 +307,7 @@ def optimize_diameter(q0, objective="contrast", d_range=(0.5, 8.0),
             and values[i] <= 4.0 * np.finfo(float).eps * np.max(sweep.t_max)):
         i = 0
     at_boundary = i in (0, n - 1)
+    coarse = i
     scan, scans = sweep, 0
     if not at_boundary:
         a, b = grid[i - 1], grid[i + 1]
@@ -314,6 +317,8 @@ def optimize_diameter(q0, objective="contrast", d_range=(0.5, 8.0),
             a, b = scan.d[max(i - 1, 0)], scan.d[min(i + 1, _REFINE_POINTS - 1)]
             scans += 1
     merit = scan[i]
+    if getattr(merit, key) < values[coarse]:
+        merit = sweep[coarse]
     return OptimizeResult(d_opt=merit.d, value=getattr(merit, key),
                           objective=objective, merit=merit, sweep=sweep,
                           at_boundary=at_boundary, grid_points=n,

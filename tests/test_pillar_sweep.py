@@ -160,7 +160,8 @@ def test_refinement_clamps_a_maximum_on_a_scan_edge():
     # decreasing Purcell factor of |E|^2 = 0.5, so its maximum is its first
     # point.  The next bracket is clamped to [first, second point] rather
     # than wrapping round to the last one, and every later scan keeps its
-    # maximum on that first point, the coarse neighbour d = 2.18.
+    # maximum on that first point, the coarse neighbour d = 2.18.  The
+    # coarse maximum at the dip is better than that, so it is the optimum.
     grid = np.linspace(1.0, 3.0, 101)
     dip = grid[60]
     assert dip not in np.linspace(grid[59], grid[61], 65)
@@ -172,7 +173,7 @@ def test_refinement_clamps_a_maximum_on_a_scan_edge():
     assert res.grid_points == 101 and not res.at_boundary
     assert int(np.argmax(res.sweep.fp)) == 60
     assert res.refine_scans == 4
-    assert res.d_opt == grid[59] and res.merit == res.sweep[59]
+    assert res.d_opt == grid[60] and res.merit == res.sweep[60]
 
 
 extreme_ratio = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
