@@ -261,13 +261,17 @@ def _build_params(ns, parser, *, force_ideal=False):
 
 def _cmd_spectrum(ns, parser):
     from .linear import transmission_leaky
-    from .model import DriveField, _blockwise
+    from .model import DriveField, _blockwise, _show
     from .nonlinear import scatter_nonlinear
     nu = _grid_option(parser, "--grid", ns.grid)
     params = _build_params(ns, parser)
     _check_drive(parser, ns, "--x", ns.x, params.gamma)
-    dw = nu * params.kappa - params.delta
-    # Checks the whole grid, so a refusal names the detuning's index in it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dw = nu * params.kappa - params.delta
+    bad = ~np.isfinite(dw)
+    if np.any(bad):
+        parser.error("--grid/--kappa/--delta must give finite detunings "
+                     f"nu*kappa - delta, got {_show(dw, bad)}")
     drive = DriveField.from_power(dw, 0.25 * ns.x * params.gamma)
 
     def block(sl):

@@ -119,7 +119,10 @@ def _fixed_point(delta_omega, b_in, params: SystemParams):
         num = e + 2.0 * d * x
         den = 2.0 * d * one_x
         t = -qt0 * num / den
-        r = qt0 * (gamma + u * num) / den
+        # Not `qt0 * (...)`: over 16384 values numpy's temporary elision
+        # swaps its operands, and the complex product is not commutative
+        # bit for bit, so r would depend on the array size.
+        r = np.multiply(qt0, gamma + u * num) / den
         p_c = np.ldexp(np.broadcast_to(p_c, x.shape), 2 * k)
     columns = (p_c, x, s_z, s, t, r)
     if not shape:

@@ -189,11 +189,11 @@ class DriveField:
 
 def _show(value, bad, start=0):
     """Repr of a scalar, or of the first entry of an array flagged in
-    ``bad`` with its index plus ``start``."""
+    ``bad`` with its index plus ``start``, as a Python number."""
     if np.ndim(value) == 0:
-        return repr(value)
+        return repr(np.asarray(value).item())
     i = int(np.argmax(np.ravel(bad)))
-    return f"{np.ravel(value)[i]!r} at index {start + i}"
+    return f"{np.ravel(value)[i].item()!r} at index {start + i}"
 
 
 def _require_finite_entries(name, value, start=0):

@@ -587,6 +587,20 @@ def test_non_finite_grids_and_drives_are_usage_errors(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_overflowing_detuning_grid_is_a_usage_error(tmp_path, capsys):
+    # nu * kappa overflows at index 7366; no numpy warning may reach stderr.
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["spectrum", "--kappa", "1e299", "--grid", "0:2e9:8195",
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--grid/--kappa/--delta must" in err
+    assert "got inf at index 7366" in err
+    assert "Warning" not in err and "np." not in err
+    assert not out.exists()
+
+
 def test_parse_grid_rejects_values_outside_the_float_range():
     for text in ("nan:1:5", "0:1e400:3", "-inf:0:3", "-1e308:1.7e308:3",
                  "log:0:400:3", "log:-400:0:3", "0:1:100000000000000"):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onedatom.csvio import BLOCK_ROWS, write_csv
 
@@ -59,3 +61,94 @@ def test_ragged_or_missing_columns_are_rejected():
         write_csv(io.StringIO(), ("a", "b"), ([1.0, 2.0], [1.0]))
     with pytest.raises(ValueError):
         write_csv(io.StringIO(), ("a", "b"), ([1.0],))
+
+
+# The per-value rendering the writer must reproduce byte for byte.
+def reference_csv(header, columns):
+    rows = zip(*[c.tolist() if hasattr(c, "tolist") else c for c in columns])
+    return ",".join(header) + "\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in rows)
+
+
+def written(header, columns):
+    buf = io.StringIO()
+    assert write_csv(buf, header, columns) == len(columns[0])
+    return buf.getvalue()
+
+
+def assert_same_as_reference(values):
+    values = np.asarray(values, dtype=float)
+    assert written(("v",), (values,)) == reference_csv(("v",), (values,))
+
+
+bit_patterns = st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=bit_patterns, data=st.data())
+def test_arbitrary_columns_match_the_per_value_format(bits, data):
+    n = len(bits)
+    floats = np.array(bits, dtype=np.uint64).view(np.float64)
+    flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    ints = data.draw(st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=n,
+                              max_size=n))
+    columns = (floats, flags, ints, floats[::-1].copy())
+    header = ("a", "flag", "n", "b")
+    assert written(header, columns) == reference_csv(header, columns)
+
+
+def test_powers_of_ten_and_their_neighbours():
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    for values in (powers, np.nextafter(powers, 0.0),
+                   np.nextafter(powers, np.inf), -powers):
+        assert_same_as_reference(values)
+
+
+def test_fixed_and_exponent_notation_boundaries():
+    edges = [9.9999999999999995e-05, 1e-4, 1e16, 1e17]
+    values = [w for v in edges
+              for w in (np.nextafter(v, 0.0), v, np.nextafter(v, np.inf))]
+    assert_same_as_reference(values + [-v for v in values])
+    text = written(("v",), (np.array(edges),))
+    assert text == ("v\n9.9999999999999991e-05\n0.0001\n10000000000000000\n"
+                    "1e+17\n")
+
+
+def test_seventeen_nines_carry_into_the_exponent():
+    values = [99999999999999999.0, 0.99999999999999999, 9.9999999999999999e-5,
+              9.99999999999999999e16, 9.999999999999999e22]
+    assert_same_as_reference(values)
+    assert written(("v",), (np.array(values[:1]),)) == "v\n1e+17\n"
+
+
+def test_rounding_ties_and_near_ties_match_the_per_value_format():
+    # 1e15 + j/4 scales to a 17-digit remainder of exactly 1/2 for odd j:
+    # "%.17g" rounds those to even, and the writer must too.
+    ties = 1e15 + np.arange(1, 40, 2) / 4.0
+    near = np.concatenate([np.nextafter(ties, 0.0),
+                           np.nextafter(ties, np.inf)])
+    assert_same_as_reference(np.concatenate([ties, near, -ties]))
+    assert written(("v",), (ties[:2],)) == (
+        "v\n1000000000000000.2\n1000000000000000.8\n")
+
+
+def test_subnormals_zeros_and_non_finite_values():
+    values = [5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 1e-300,
+              2.2250738585072014e-308, 0.0, -0.0, math.inf, -math.inf,
+              math.nan, -math.nan, 1.7976931348623157e308, 1e280, 1e-280]
+    assert_same_as_reference(values)
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_files_of_one_row_and_around_a_block(n):
+    rng = np.random.default_rng(n)
+    columns = (rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n),
+               rng.random(n) > 0.5, list(range(n)))
+    header = ("x", "flag", "i")
+    assert written(header, columns) == reference_csv(header, columns)
+
+
+def test_non_real_values_are_refused():
+    for column in (np.array([1 + 2j]), ["1.5"]):
+        with pytest.raises(TypeError):
+            write_csv(io.StringIO(), ("v",), (column,))

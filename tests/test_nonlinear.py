@@ -288,6 +288,27 @@ def test_array_drive_matches_scalar_drives():
         assert abs(state.s[i] - steady_state(drive, p).s) < 1e-15
 
 
+@pytest.mark.parametrize("complex_amplitudes", [False, True])
+def test_large_array_drive_matches_one_point_calls_bit_for_bit(complex_amplitudes):
+    # Over 16384 values numpy may reuse a temporary in place and swap the
+    # operands of a product; the kernel's entries must not depend on that.
+    p = make_params(1.0, 500.0, delta=0.1, gamma_at=3e-4)
+    n = 40_000
+    dw = np.linspace(-3.0, 3.0, n)
+    b_in = np.full(n, math.sqrt(0.125) + 0j)
+    if complex_amplitudes:
+        rng = np.random.default_rng(7)
+        b_in = np.sqrt(rng.exponential(0.5, n)) * np.exp(2j * np.pi * rng.random(n))
+    drive = DriveField(dw, b_in)
+    swept, state = scatter_nonlinear(drive, p), steady_state(drive, p)
+    for i in np.unique(np.linspace(0, n - 1, 413).astype(int)):
+        one = DriveField(dw[i:i + 1], b_in[i:i + 1])
+        out, st = scatter_nonlinear(one, p), steady_state(one, p)
+        for a, b in ((swept.t, out.t), (swept.r, out.r), (swept.p_noise, out.p_noise),
+                     (state.s, st.s), (state.s_z, st.s_z)):
+            assert a[i].tobytes() == b[0].tobytes(), i
+
+
 def test_array_drive_validation_names_the_field():
     with pytest.raises(NonFiniteInput, match="delta_omega.*index 2"):
         DriveField.from_power(np.array([0.0, 1.0, np.nan]), 0.1)
