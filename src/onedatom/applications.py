@@ -109,8 +109,7 @@ def bistability_scan(params: SystemParams, fraction_a, x_grid) -> BistabilityRes
     quarter_gamma = 0.25 * params.gamma
     t_inf = transmission_leaky(0.0, params, empty_cavity=True).t
 
-    def block(sl):
-        xb = x[sl]
+    def block(_, xb):
         h = 1e-5 * (1.0 + xb)
         p_t_hi, p_t_lo = (
             p * np.abs(_fixed_point(0.0, np.sqrt(p), params)[4]) ** 2
@@ -124,20 +123,20 @@ def bistability_scan(params: SystemParams, fraction_a, x_grid) -> BistabilityRes
         return p_e, p_e * cap_t, slope_analytic, slope_numeric
 
     p_e, p_t, slope_analytic, slope_numeric = _blockwise(
-        x.size, (float,) * 4, block)
+        (x,), (float,) * 4, block)
 
     def increasing(fraction):
         return all(np.all(np.diff(p_e[s] - fraction * p_t[s]) > 0.0)
                    for s in (slice(max(sl.start - 1, 0), sl.stop)
                              for sl in _block_slices(x.size)))
 
-    unique = np.array([increasing(v) for v in a.reshape(-1)], dtype=bool)
+    fractions, unique = _blockwise((a,), (float, bool), lambda _, ab: (
+        ab, [increasing(v) for v in ab.tolist()]))
     return BistabilityResult(
-        fraction_a=a.tolist() if a.ndim == 0 else a, x=x, p_e=p_e, p_t=p_t,
+        fraction_a=fractions, x=x, p_e=p_e, p_t=p_t,
         slope_analytic=slope_analytic, slope_numeric=slope_numeric,
         max_slope=float(max(slope_analytic.max(), slope_numeric.max())),
-        unique_solution=(unique.item() if a.ndim == 0
-                         else unique.reshape(a.shape)))
+        unique_solution=unique)
 
 
 @dataclass(frozen=True)
@@ -172,23 +171,19 @@ def contrast_enhancement(x, extinction_in, params: SystemParams) -> ReshapeResul
     if not extinction_in > 1.0:
         raise NonPositiveRate(f"extinction_in must be > 1, got {extinction_in}")
     d = float(extinction_in)
-    flat = xs.reshape(-1)
     at_zero = d if params.loss_rate == 0.0 else 1.0 / d
 
-    def block(sl):
-        xb = flat[sl]
+    def block(_, xb):
         drive = np.sqrt(0.25 * params.gamma * np.stack((xb, xb / d)))
         *_, t, _ = _fixed_point(0.0, drive, params)
         # t(0) = 0 without emitter losses: 0/0 at x = 0, replaced by the limit.
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = (np.abs(t[0] / t[1]) / math.sqrt(d)) ** 2
-        return (d * ((1.0 + xb) / (1.0 + xb / d)) ** 2,
+        return (xb, d * ((1.0 + xb) / (1.0 + xb / d)) ** 2,
                 np.where(xb == 0.0, at_zero, ratio))
 
-    c_ideal, c_leaky = _blockwise(flat.size, (float, float), block)
-    if xs.ndim == 0:
-        return ReshapeResult(xs.item(), d, c_ideal.item(), c_leaky.item())
-    return ReshapeResult(xs, d, c_ideal.reshape(xs.shape), c_leaky.reshape(xs.shape))
+    x, c_ideal, c_leaky = _blockwise((xs,), (float,) * 3, block)
+    return ReshapeResult(x, d, c_ideal, c_leaky)
 
 
 def _in_float_range(name, value):

@@ -272,12 +272,12 @@ def _cmd_spectrum(ns, parser):
     if np.any(bad):
         parser.error("--grid/--kappa/--delta must give finite detunings "
                      f"nu*kappa - delta, got {_show(dw, bad)}")
-    drive = DriveField.from_power(dw, 0.25 * ns.x * params.gamma)
+    b_in = DriveField.from_power(0.0, 0.25 * ns.x * params.gamma).b_in
 
-    def block(sl):
-        empty = transmission_leaky(dw[sl], params, empty_cavity=True,
+    def block(_, dwb):
+        empty = transmission_leaky(dwb, params, empty_cavity=True,
                                    evanescent=ns.evanescent)
-        out = scatter_nonlinear(DriveField(dw[sl], drive.b_in), params)
+        out = scatter_nonlinear(DriveField(dwb, b_in), params)
         t, r, cap_t, cap_r = out.t, out.r, out.cap_t, out.cap_r
         if ns.evanescent:
             t, r, cap_t, cap_r = r, t, cap_r, cap_t
@@ -286,7 +286,7 @@ def _cmd_spectrum(ns, parser):
 
     header = ("nu", "delta_omega", "re_t", "im_t", "re_r", "im_r",
               "cap_t", "cap_r", "leaks", "cap_t0")
-    return header, (nu, dw, *_blockwise(dw.size, (float,) * 8, block)), {
+    return header, (nu, dw, *_blockwise((dw,), (float,) * 8, block)), {
         "derived": _params_view(params)}
 
 
@@ -404,6 +404,9 @@ def _cmd_slowlight(ns, parser):
                if not abs(r.delay_numeric / r.delay_analytic - 1.0) <= band]
     return header, [[getattr(r, k) for r in results] for k in header], {
         "options": {"gamma": gamma},
+        # One entry per CSV row: the chain of --n-stages stages.
+        "results": {k: [getattr(r, k) for r in results]
+                    for k in ("delay_after_stages", "t_after_stages")},
         "diagnostics": {"delay_band": band, "f_outside_delay_band": outside}}
 
 

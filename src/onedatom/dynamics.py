@@ -33,7 +33,7 @@ from .csvio import write_csv
 from .errors import (DomainError, NoConvergence, NonPositiveRate,
                      StepCollapse, UnsupportedRegime)
 from .linear import t0_prime
-from .model import BlochState, DriveField, SystemParams
+from .model import BlochState, DriveField, SystemParams, _blockwise
 from .nonlinear import output_amplitudes
 
 TRAJECTORY_COLUMNS = ("t", "re_s", "im_s", "s_z",
@@ -242,19 +242,19 @@ def _propagate(drive: DriveField, params: SystemParams,
                    if weights[n - 1] < FOCK_TAIL * weights[:n].sum())
     for system in systems:
         # powers[h][i] is exp(M h)^(2^i), squared up from the last as needed.
-        powers, squarings, blocks = {}, 0, []
-        z = system.y0 - system.fixed
+        powers, squarings, z = {}, 0, system.y0 - system.fixed
+
         # Read off in blocks: the master equation's state has up to 256
         # entries per sample, and a run up to 10^7 samples.
-        for first in range(0, len(steps), 4096):
-            block = steps[first:first + 4096]
-            y = np.empty((block.size, z.size), z.dtype)
+        def block(_, dt):               # dt: the block's steps
+            nonlocal squarings, z
+            y = np.empty((dt.size, z.size), z.dtype)
             # Each run [k, stop) of equal steps h by doubling: row k is
             # exp(M h) z, and rows [k + m, k + 2m) are rows [k, k + m) times
             # exp(M h)^m, so a run costs about log2(stop - k) products.
-            cuts = (np.flatnonzero(block[1:] != block[:-1]) + 1).tolist()
-            hs = block.tolist()
-            for k, stop in zip([0] + cuts, cuts + [block.size]):
+            cuts = (np.flatnonzero(dt[1:] != dt[:-1]) + 1).tolist()
+            hs = dt.tolist()
+            for k, stop in zip([0] + cuts, cuts + [dt.size]):
                 h = hs[k]
                 if not h:
                     y[k:stop] = z
@@ -274,10 +274,13 @@ def _propagate(drive: DriveField, params: SystemParams,
                     m, i = 2 * m, i + 1
                 z = y[stop - 1]
             z = z.copy()                # frees the block
-            blocks.append((y + system.fixed) @ system.read.T)
-        s, s_z, a, top = np.concatenate(blocks).T
-        if not np.max(top.real) >= FOCK_TAIL:    # callers report a NaN
-            return s, s_z.real, a, squarings, system.fock_levels
+            s, s_z, a, top = ((y + system.fixed) @ system.read.T).T
+            return s, s_z.real, a, top.real
+
+        s, s_z, a, top = _blockwise((steps,), (complex, float, complex, float),
+                                    block)
+        if not np.max(top) >= FOCK_TAIL:    # callers report a NaN
+            return s, s_z, a, squarings, system.fock_levels
     raise UnsupportedRegime(
         f"the full system needs more than {FOCK_MAX} Fock states to keep "
         f"the top one below {FOCK_TAIL:g} of the population")

@@ -91,13 +91,11 @@ def _fixed_point(delta_omega, b_in, params: SystemParams):
     of rate ratios, and every rate is scaled by the power of four 4^-k
     nearest 1/kappa (b_in by 2^-k, both exact), so no rate is squared or
     leaves the float range.  Rates may be arrays (kappa stays a scalar).
-    Returns (p_c, x, s_z, s, t, r) shaped like the broadcast inputs and
-    rates (Python numbers for scalars); x = 0 at zero drive, and a limit
+    Returns (p_c, x, s_z, s, t, r) as arrays of the broadcast shape of the
+    inputs and rates, at least 1-d; x = 0 at zero drive, and a limit
     beyond the float range gives NaN.
     """
     rates = [getattr(params, f.name) for f in fields(params)]
-    shape = np.broadcast_shapes(np.shape(delta_omega), np.shape(b_in),
-                                *map(np.shape, rates))
     k = math.frexp(params.kappa)[1] // 2
     dw = np.ldexp(np.atleast_1d(np.asarray(delta_omega, dtype=float)), -2 * k)
     b_in = np.atleast_1d(np.asarray(b_in, dtype=complex)) * math.ldexp(1.0, -k)
@@ -124,10 +122,7 @@ def _fixed_point(delta_omega, b_in, params: SystemParams):
         # bit for bit, so r would depend on the array size.
         r = np.multiply(qt0, gamma + u * num) / den
         p_c = np.ldexp(np.broadcast_to(p_c, x.shape), 2 * k)
-    columns = (p_c, x, s_z, s, t, r)
-    if not shape:
-        return tuple(c.item() for c in columns)
-    return columns
+    return p_c, x, s_z, s, t, r
 
 
 def transmission_leaky(delta_omega, params: SystemParams, *,
@@ -145,26 +140,21 @@ def transmission_leaky(delta_omega, params: SystemParams, *,
     one-element array through the same numpy operations, so it gives
     bit for bit the entry the array call gives, returned as Python numbers.
     """
-    dw = np.asarray(delta_omega, dtype=float)
-    flat = dw.reshape(-1)
-
-    def block(sl):
+    def block(_, dw):
         if empty_cavity:
-            t = -params.q_ratio * t0_prime(flat[sl], params)
+            t = -params.q_ratio * t0_prime(dw, params)
             r = 1.0 + t
         else:
-            *_, t, r = _fixed_point(flat[sl], 0.0, params)
+            *_, t, r = _fixed_point(dw, 0.0, params)
         if evanescent:
             t, r = r, t
         cap_t = np.abs(t) ** 2
         cap_r = np.abs(r) ** 2
-        return t, r, cap_t, cap_r, 1.0 - cap_t - cap_r
+        return dw, t, r, cap_t, cap_r, 1.0 - cap_t - cap_r
 
-    columns = (flat, *_blockwise(flat.size, (complex, complex, float, float,
-                                            float), block))
-    if dw.ndim == 0:
-        return LinearSpectrumPoint(*(c.item() for c in columns))
-    return LinearSpectrumPoint(*(c.reshape(dw.shape) for c in columns))
+    return LinearSpectrumPoint(*_blockwise(
+        (np.asarray(delta_omega, dtype=float),),
+        (float, complex, complex, float, float, float), block))
 
 
 @dataclass(frozen=True)
@@ -177,34 +167,19 @@ class Linewidths:
     dip_numeric: float
 
 
-def _bisect(fun, lo, hi, tol):
-    flo = fun(lo)
-    fhi = fun(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ScanFailed(f"no sign change on bracket [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = fun(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
 def linewidths_ideal(params: SystemParams) -> Linewidths:
     """FWHM of the broad transmission peak and of the narrow dip (delta = 0).
 
-    Returns the analytic pair (kappa, gamma) together with values scanned
-    numerically from the T(dw) of `transmission_leaky` by bisection on
-    T = 1/2.  The scan is independent of the analytic widths: it only uses
-    the analytic values as starting guesses for the brackets.
+    Returns the analytic pair (kappa, gamma) together with values found
+    numerically on the T(dw) of `transmission_leaky`: each crossing of
+    T = 1/2 by 65-point array scans, each of which narrows its bracket to
+    the two points around the first crossing, until the bracket is at most
+    1e-12 of its upper end wide.  T = 1/(1 + z^2) with
+    z = dw/kappa - gamma/(2 dw) increasing on dw > 0, so T rises from 0
+    to 1 at dw_peak = sqrt(gamma kappa/2) and is below 1/2 by
+    dw_peak + kappa: the brackets [0, dw_peak] and
+    [dw_peak, dw_peak + 2 kappa] hold one crossing each.  The analytic
+    widths are not used.
 
     Raises
     ------
@@ -212,39 +187,27 @@ def linewidths_ideal(params: SystemParams) -> Linewidths:
         If delta != 0 or params are not ideal (the quoted widths are derived
         for the resonant lossless system).
     ScanFailed
-        If a bisection bracket cannot be established.
+        If a scan finds no crossing (T is not a number there).
     """
     if params.delta != 0.0:
         raise UnsupportedRegime("linewidths_ideal is derived for delta = 0")
     if not params.is_ideal:
         raise UnsupportedRegime("linewidths_ideal requires an ideal system")
     gamma, kappa = params.gamma, params.kappa
-    half = lambda dw: transmission_leaky(dw, params).cap_t - 0.5
-    tol = 1e-10 * kappa
-    # T rises from 0 to 1 on (0, dw_peak) and falls back to 0 beyond it.
-    dw_peak = math.sqrt(0.5 * gamma * kappa)
-    # Inner crossing: start from the analytic guess gamma/2, expand down/up.
-    lo, hi = 0.25 * gamma, min(gamma, 0.999 * dw_peak)
-    for _ in range(60):
-        if half(lo) < 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise ScanFailed("inner bracket: no point below half maximum")
-    for _ in range(60):
-        if half(hi) > 0.0:
-            break
-        hi = min(2.0 * hi, 0.999 * dw_peak)
-    inner = _bisect(half, lo, hi, tol)
-    # Outer crossing: between the peak and far detuning, guess kappa.
-    lo, hi = dw_peak, 2.0 * kappa
-    for _ in range(60):
-        if half(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ScanFailed("outer bracket: no point below half maximum")
-    outer = _bisect(half, lo, hi, tol)
+
+    def crossing(a, b):
+        while b - a > 1e-12 * b:
+            grid = np.linspace(a, b, 65)
+            above = transmission_leaky(grid, params).cap_t > 0.5
+            flips = np.flatnonzero(above != above[0])
+            if not flips.size:
+                raise ScanFailed(f"no half-maximum crossing on [{a}, {b}]")
+            a, b = grid[flips[0] - 1:flips[0] + 1].tolist()
+        return 0.5 * (a + b)
+
+    dw_peak = math.sqrt(0.5 * gamma) * math.sqrt(kappa)
+    inner = crossing(0.0, dw_peak)
+    outer = crossing(dw_peak, dw_peak + 2.0 * kappa)
     return Linewidths(broad_analytic=kappa, dip_analytic=gamma,
                       broad_numeric=outer - inner, dip_numeric=2.0 * inner)
 

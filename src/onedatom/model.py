@@ -5,8 +5,9 @@ angular frequency expressed in one common unit chosen by the caller.  The
 physics is scale free; the CLI defaults normalize ``kappa = 1``.  Input
 amplitudes are in sqrt(photons/s), powers in photons/s.
 
-The grid sweeps share `_blockwise`, which fills their output columns one
-block of `csvio.BLOCK_ROWS` points at a time.
+Every closed form and grid sweep runs through `_blockwise`, which fills
+its output columns one block of `csvio.BLOCK_ROWS` points at a time; a
+scalar is a one-element block.
 """
 
 from __future__ import annotations
@@ -169,22 +170,19 @@ class DriveField:
     @property
     def p_in(self) -> float:
         """Incoming power |b_in|^2 in photons/s."""
-        return abs(self.b_in) ** 2
+        return _blockwise((self.b_in,), (float,),
+                          lambda _, b_in: (np.abs(b_in) ** 2,))[0]
 
     @classmethod
     def from_power(cls, delta_omega, p_in) -> "DriveField":
-        # A scalar drive stays in Python numbers, whose scalar arithmetic
-        # is cheaper than that of numpy scalars.
-        if np.ndim(delta_omega) == 0 and np.ndim(p_in) == 0:
-            if p_in < 0.0:
-                raise NonPositiveRate(f"p_in must be >= 0, got {p_in}")
-            return cls(float(delta_omega), complex(math.sqrt(p_in)))
+        """The drive of power ``p_in`` >= 0 at ``delta_omega``; arrays give
+        both fields their broadcast shape."""
         p_in = np.asarray(p_in, dtype=float)
         bad = p_in < 0.0
-        if np.any(bad):
+        if bad.any():
             raise NonPositiveRate(f"p_in must be >= 0, got {_show(p_in, bad)}")
-        return cls(np.asarray(delta_omega, dtype=float),
-                   np.sqrt(p_in).astype(complex))
+        return cls(*_blockwise((delta_omega, p_in), (float, complex),
+                               lambda _, dw, p: (dw, np.sqrt(p))))
 
 
 def _show(value, bad, start=0):
@@ -200,7 +198,7 @@ def _require_finite_entries(name, value, start=0):
     """NonFiniteInput naming the first entry of ``value`` that is not
     finite; ``start`` is the index of the first entry in its grid."""
     bad = ~np.isfinite(value)
-    if np.any(bad):
+    if bad.any():
         raise NonFiniteInput(f"{name} must be finite, got "
                              f"{_show(value, bad, start)}")
 
@@ -211,21 +209,34 @@ def _block_slices(n):
             for lo in range(0, n, BLOCK_ROWS))
 
 
-def _blockwise(n, dtypes, fill):
-    """Columns of ``n`` entries, one per dtype, filled a block at a time.
+def _blockwise(values, dtypes, fill):
+    """Columns over the broadcast points of ``values``, one per dtype,
+    filled a block at a time.
 
-    ``fill(sl)`` returns one value per column for the points of the slice
-    ``sl`` (see `_block_slices`), and each is written into its column,
-    allocated up front.  So a sweep holds its output columns plus the
-    intermediates of one block of `csvio.BLOCK_ROWS` points, whatever n
-    is; a grid of at most BLOCK_ROWS points, a scalar among them, is one
-    block.
+    ``fill(sl, *blocks)`` gets the flat indices ``sl`` of a block of at
+    most `csvio.BLOCK_ROWS` points (see `_block_slices`) and each value's
+    entries there as a 1-d array (a value with one entry as a one-element
+    array, which broadcasts), and returns one value per column; each is
+    written into its column, allocated up front.  So a sweep holds its
+    output columns plus the intermediates of one block, whatever its size.
+    Scalars are one one-element block, so they run the array arithmetic
+    of every other point; their columns are given back as Python numbers,
+    and otherwise each column has the broadcast shape of ``values``.
+    This is the one place where a scalar result is unwrapped.
     """
+    values = [np.asarray(v) for v in values]
+    shape = np.broadcast(*values).shape
+    n = math.prod(shape)
+    flat = [v.reshape(-1) if v.size in (1, n)
+            else np.broadcast_to(v, shape).reshape(-1) for v in values]
     columns = [np.empty(n, dtype) for dtype in dtypes]
     for sl in _block_slices(n):
-        for column, value in zip(columns, fill(sl)):
+        blocks = [v if v.size == 1 else v[sl] for v in flat]
+        for column, value in zip(columns, fill(sl, *blocks)):
             column[sl] = value
-    return columns
+    if not shape:
+        return [column.item() for column in columns]
+    return [column.reshape(shape) for column in columns]
 
 
 class ColumnRecord:
@@ -295,22 +306,21 @@ class ScatteringOutcome:
         return self.p_t + self.p_r + self.p_noise
 
 
-def _complex(v):
-    return complex(v) if np.ndim(v) == 0 else np.asarray(v, dtype=complex)
-
-
 def outcome_from_amplitudes(t, r, p_in) -> ScatteringOutcome:
     """Build a :class:`ScatteringOutcome` from amplitude coefficients.
 
-    Scalars give Python numbers, arrays give arrays of the same shape.
+    Scalars give Python numbers, arrays give arrays of their broadcast
+    shape.
     """
-    t = _complex(t)
-    r = _complex(r)
-    # An amplitude that left the float range gives NaN here, silently: the
-    # CLI refuses a NaN column with its own message.
-    with np.errstate(invalid="ignore"):
-        cap_t = abs(t) ** 2
-        cap_r = abs(r) ** 2
-        p_t = cap_t * p_in
-        p_r = cap_r * p_in
-    return ScatteringOutcome(t, r, cap_t, cap_r, p_t, p_r, p_in - p_t - p_r)
+    def block(_, t, r, p_in):
+        # An amplitude that left the float range gives NaN here, silently:
+        # the CLI refuses a NaN column with its own message.
+        with np.errstate(invalid="ignore"):
+            cap_t = np.abs(t) ** 2
+            cap_r = np.abs(r) ** 2
+            p_t = cap_t * p_in
+            p_r = cap_r * p_in
+        return t, r, cap_t, cap_r, p_t, p_r, p_in - p_t - p_r
+
+    return ScatteringOutcome(*_blockwise(
+        (t, r, p_in), (complex, complex) + (float,) * 5, block))

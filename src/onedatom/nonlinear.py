@@ -61,7 +61,8 @@ def critical_power(delta_omega, params: SystemParams) -> float:
     on resonance, a quarter photon per lifetime), (gamma/4) phi'(dw) for a
     leaky one without dephasing ((gamma/4)(1 + 1/f)^2 on full resonance).
     """
-    return _fixed_point(delta_omega, 0.0, params)[0]
+    return _blockwise((delta_omega,), (float,),
+                      lambda _, dw: _fixed_point(dw, 0.0, params)[:1])[0]
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,13 @@ class SaturationPoint:
 
 
 def saturation_point(drive: DriveField, params: SystemParams) -> SaturationPoint:
-    p_c = critical_power(drive.delta_omega, params)
-    return SaturationPoint(x=4.0 * drive.p_in / params.gamma,
-                           x_eff=drive.p_in / p_c, p_c=p_c)
+    def block(_, dw, b_in):
+        p_c = _fixed_point(dw, 0.0, params)[0]
+        p_in = np.abs(b_in) ** 2
+        return 4.0 * p_in / params.gamma, p_in / p_c, p_c
+
+    return SaturationPoint(*_blockwise((drive.delta_omega, drive.b_in),
+                                       (float,) * 3, block))
 
 
 def steady_state(drive: DriveField, params: SystemParams) -> BlochState:
@@ -89,7 +94,8 @@ def steady_state(drive: DriveField, params: SystemParams) -> BlochState:
     `_fixed_point`, x = P_in/P_c(dw); for the ideal system
     s = sqrt(2/gamma) alpha b_in with alpha the `susceptibility`.
     """
-    _, _, s_z, s, _, _ = _fixed_point(drive.delta_omega, drive.b_in, params)
+    s_z, s = _blockwise((drive.delta_omega, drive.b_in), (float, complex),
+                        lambda _, dw, b_in: _fixed_point(dw, b_in, params)[2:4])
     return BlochState(s, s_z)
 
 
@@ -125,8 +131,11 @@ def scatter_nonlinear(drive: DriveField, params: SystemParams) -> ScatteringOutc
     (maximal at x = 1); a leaky one without dephasing gives
     t = (Q/Q0)(beta/(1 + beta^2 x) - 1).
     """
-    *_, t, r = _fixed_point(drive.delta_omega, drive.b_in, params)
-    return outcome_from_amplitudes(t, r, drive.p_in)
+    t, r, p_in = _blockwise(
+        (drive.delta_omega, drive.b_in), (complex, complex, float),
+        lambda _, dw, b_in: (*_fixed_point(dw, b_in, params)[4:],
+                             np.abs(b_in) ** 2))
+    return outcome_from_amplitudes(t, r, p_in)
 
 
 @dataclass(frozen=True)
@@ -179,8 +188,8 @@ def saturation_curve(params: SystemParams, x_grid) -> SaturationCurve:
         raise UnsupportedRegime("x_grid must be sorted ascending")
     p_c = critical_power(0.0, params)
 
-    def block(sl):
-        b_in = np.sqrt(0.25 * xs[sl] * params.gamma).astype(complex)
+    def block(sl, xb):
+        b_in = np.sqrt(0.25 * xb * params.gamma).astype(complex)
         _require_finite_entries("b_in", b_in, sl.start)
         drive = DriveField(0.0, b_in)
         out = scatter_nonlinear(drive, params)
@@ -190,7 +199,7 @@ def saturation_curve(params: SystemParams, x_grid) -> SaturationCurve:
         return (p_in / p_c, out.cap_t, out.cap_r, noise, out.p_t / p_c,
                 out.p_r / p_c)
 
-    x_eff, *columns = _blockwise(xs.size, (float,) * 6, block)
+    x_eff, *columns = _blockwise((xs,), (float,) * 6, block)
     return SaturationCurve(
         xs, x_eff, *columns,
         caution=(CAUTION_RANGE[0] < x_eff) & (x_eff < CAUTION_RANGE[1]))

@@ -8,11 +8,12 @@ with eps = 0.007 and d = 2.4 um has Q = 960; tabulated profiles can be
 supplied instead.
 
 Every figure of merit comes from one array evaluation over a set of
-diameters: a diameter scan is one call, each refinement scan of the
-optimizer is one call, and a single design (:func:`figures_of_merit`) is
-the same call on a one-element array, so all give the same bits.  The
-resonant T_min and T_max are the steady-state kernel's transmission at zero
-drive and its empty-cavity limit.
+diameters, in blocks of `csvio.BLOCK_ROWS`: a diameter scan is one call,
+each refinement scan of the optimizer is one call, and a single design
+(:func:`figures_of_merit`) is the same call on a one-element array, so
+all give the same bits.  The resonant T_min and T_max are the
+steady-state kernel's transmission at zero drive and its empty-cavity
+limit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import NonFiniteInput, NonPositiveRate, UnsupportedRegime
 from .linear import _fixed_point, t0_prime
-from .model import ColumnRecord, SystemParams
+from .model import ColumnRecord, SystemParams, _blockwise
 
 DEFAULT_EPSILON = 0.007        # etching-quality parameter, um
 DEFAULT_WAVELENGTH = 1.0       # vacuum wavelength, um
@@ -157,7 +158,9 @@ class DiameterSweep(ColumnRecord):
 def _sweep(design: PillarDesign, d: np.ndarray,
            field_model: FieldProfileModel) -> DiameterSweep:
     """Figures of merit at the diameters ``d`` (a 1-d array, finite and
-    > 0); ``design`` supplies every other parameter.
+    > 0); ``design`` supplies every other parameter.  The columns are
+    filled a block of `csvio.BLOCK_ROWS` diameters at a time
+    (`model._blockwise`).
 
     f follows from the Purcell factor through
     f = F_p / (loss_ratio + 2 gamma_star_ratio).  T_min is |t|^2 of the
@@ -166,36 +169,41 @@ def _sweep(design: PillarDesign, d: np.ndarray,
     Q/Q0, f) gives: Q/Q0 and 1/f make its round trip through gamma_cav and
     gamma_at, and the resonant values depend on (Q/Q0, f) only.
     """
-    # Overflow and 0/0 show up as a non-finite contrast or eta, checked below.
-    with np.errstate(all="ignore"):
-        lam_n = design.lambda_0 / design.n_index
-        # 1/Q = 1/Q0 + 2 |E(d)|^2 eps / d
-        q = 1.0 / (1.0 / design.q0 + 2.0 * field_model.field_sq(d)
-                   * design.epsilon / d)
-        # V = (lambda/n) pi d^2 / 8, F_p = (3 Q / (4 pi^2 V)) (lambda/n)^3
-        v = lam_n * math.pi * np.float_power(d, 2) / 8.0
-        fp = 3.0 * q * np.float_power(lam_n, 3) / (4.0 * math.pi ** 2 * v)
-        f = fp / (design.loss_ratio + 2.0 * design.gamma_star_ratio)
-        # Q <= Q0; the clip only removes the last-bit excess 1/(1/Q0) can carry.
-        q_ratio = np.minimum(q / design.q0, 1.0)
-        params = SystemParams(1.0, 500.0, gamma_at=q_ratio / f,
-                              gamma_cav=1000.0 * (1.0 / q_ratio - 1.0))
-        t_max = np.abs(params.q_ratio * t0_prime(0.0, params)) ** 2
-        # T_min <= T_max; the clip only removes a last-bit excess.
-        t_min = np.minimum(np.abs(_fixed_point(0.0, 0.0, params)[4]) ** 2,
-                           t_max)
-        beta = f / (1.0 + f)
-        contrast = t_max - t_min
-        eta = beta * q_ratio
-    # Every other column is finite where these two are.
-    finite = np.isfinite(contrast + eta)
-    if not finite.all():
-        raise UnsupportedRegime(
-            "figures of merit leave the float range at "
-            f"d={float(d[np.argmin(finite)])!r}")
-    return DiameterSweep(
-        d=d, q=q, v=v, fp=fp, f=f, q_ratio=q_ratio, t_max=t_max,
-        t_min=t_min, contrast=contrast, eta=eta, beta_sq=beta * beta)
+    lam_n = design.lambda_0 / design.n_index
+
+    def block(_, d):
+        # Overflow and 0/0 show up as a non-finite contrast or eta, checked
+        # below.
+        with np.errstate(all="ignore"):
+            # 1/Q = 1/Q0 + 2 |E(d)|^2 eps / d
+            q = 1.0 / (1.0 / design.q0 + 2.0 * field_model.field_sq(d)
+                       * design.epsilon / d)
+            # V = (lambda/n) pi d^2 / 8, F_p = (3 Q / (4 pi^2 V)) (lambda/n)^3
+            v = lam_n * math.pi * np.float_power(d, 2) / 8.0
+            fp = 3.0 * q * np.float_power(lam_n, 3) / (4.0 * math.pi ** 2 * v)
+            f = fp / (design.loss_ratio + 2.0 * design.gamma_star_ratio)
+            # Q <= Q0; the clip only removes the last-bit excess 1/(1/Q0)
+            # can carry.
+            q_ratio = np.minimum(q / design.q0, 1.0)
+            params = SystemParams(1.0, 500.0, gamma_at=q_ratio / f,
+                                  gamma_cav=1000.0 * (1.0 / q_ratio - 1.0))
+            t_max = np.abs(params.q_ratio * t0_prime(0.0, params)) ** 2
+            # T_min <= T_max; the clip only removes a last-bit excess.
+            t_min = np.minimum(np.abs(_fixed_point(0.0, 0.0, params)[4]) ** 2,
+                               t_max)
+            beta = f / (1.0 + f)
+            contrast = t_max - t_min
+            eta = beta * q_ratio
+        # Every other column is finite where these two are.
+        finite = np.isfinite(contrast + eta)
+        if not finite.all():
+            raise UnsupportedRegime(
+                "figures of merit leave the float range at "
+                f"d={float(d[np.argmin(finite)])!r}")
+        return (d, q, v, fp, f, q_ratio, t_max, t_min, contrast, eta,
+                beta * beta)
+
+    return DiameterSweep(*_blockwise((d,), (float,) * 11, block))
 
 
 def figures_of_merit(design: PillarDesign,

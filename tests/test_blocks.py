@@ -1,20 +1,27 @@
 """The grid sweeps evaluate their points in blocks of `csvio.BLOCK_ROWS`.
 
 Each entry must be the value a call on that point alone gives, bit for
-bit, at and next to every block edge; the whole-grid results (bistability
-verdicts and slope) must follow from the assembled columns; and the
-transient memory of a sweep must stay one block, whatever the grid size.
+bit, at and next to every block edge, and a scalar call of every closed
+form must give the entry of the array call; the whole-grid results
+(bistability verdicts and slope) must follow from the assembled columns;
+and the transient memory of a sweep must stay one block, whatever the
+grid size.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from onedatom import (DriveField, NonFiniteInput, bistability_scan, cli,
-                      contrast_enhancement, make_params, params_from_ratios,
-                      saturation_curve, scatter_nonlinear, transmission_leaky)
+from onedatom import (DiameterSweep, DriveField, NonFiniteInput,
+                      bistability_scan, cli, contrast_enhancement,
+                      critical_power, make_params, params_from_ratios,
+                      saturation_curve, saturation_point, scatter_nonlinear,
+                      steady_state, sweep_diameter, transmission_leaky)
 from onedatom.csvio import BLOCK_ROWS
 
 N = 2 * BLOCK_ROWS + 3
@@ -110,6 +117,86 @@ def test_bistability_entries_at_block_edges_are_two_point_values():
                              getattr(pair, name)[i - j]), (name, i)
 
 
+@st.composite
+def devices(draw):
+    """A device in units of a random kappa, each leak zero or not."""
+    kappa = draw(st.floats(1e-3, 1e3))
+
+    def rate(lo, hi):
+        return draw(st.one_of(st.just(0.0), st.floats(lo, hi))) * kappa
+
+    return make_params(rate(1e-4, 2.0) or 0.002 * kappa, kappa,
+                       delta=draw(st.floats(-1.0, 1.0)) * kappa,
+                       gamma_at=rate(1e-5, 0.1), gamma_cav=rate(1e-4, 1.0),
+                       gamma_star=rate(1e-5, 0.1))
+
+
+def assert_scalar_is_entry(one, swept, i, what):
+    """Every field of the scalar call's result ``one`` is a Python number
+    with the bits of entry ``i`` of the array call's field."""
+    for f in dataclasses.fields(one):
+        value, column = getattr(one, f.name), getattr(swept, f.name)
+        if np.ndim(column) == 0:        # not evaluated per point
+            continue
+        assert type(value) in (float, complex), (what, f.name, value)
+        assert same_bits(value, column[i]), (what, f.name, i, value,
+                                             column[i])
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=devices(), data=st.data(),
+       n=st.integers(1, 12), extinction=st.floats(1.5, 1e3))
+def test_scalar_calls_are_the_array_entries_bit_for_bit(params, data, n,
+                                                        extinction):
+    # A scalar call once took |t|^2 and |b_in|^2 as Python float powers
+    # (the C pow) and missed the array's correctly rounded square by an
+    # ulp: cap_t in about half of the drives of a leaky, detuned device.
+    def column(elements):
+        return np.array(data.draw(st.lists(elements, min_size=n,
+                                           max_size=n)))
+
+    dw = column(st.floats(-3.0, 3.0)) * params.kappa
+    x = column(st.floats(0.0, 1e3))
+    p_in = 0.25 * x * params.gamma
+    b_in = np.sqrt(p_in) * np.exp(1j * column(st.floats(-math.pi, math.pi)))
+    drive = DriveField(dw, b_in)
+    powered = DriveField.from_power(dw, p_in)
+    swept = {
+        "scatter_nonlinear": scatter_nonlinear(drive, params),
+        "steady_state": steady_state(drive, params),
+        "saturation_point": saturation_point(drive, params),
+        "from_power": powered,
+        "from_power.scatter_nonlinear": scatter_nonlinear(powered, params),
+        "transmission_leaky": transmission_leaky(dw, params),
+        "transmission_leaky.empty": transmission_leaky(
+            dw, params, empty_cavity=True, evanescent=True),
+        "contrast_enhancement": contrast_enhancement(x, extinction, params),
+    }
+    p_c = critical_power(dw, params)
+    for i in range(n):
+        one_drive = DriveField(dw[i].item(), b_in[i].item())
+        one_powered = DriveField.from_power(dw[i].item(), p_in[i].item())
+        one = {
+            "scatter_nonlinear": scatter_nonlinear(one_drive, params),
+            "steady_state": steady_state(one_drive, params),
+            "saturation_point": saturation_point(one_drive, params),
+            "from_power": one_powered,
+            "from_power.scatter_nonlinear": scatter_nonlinear(one_powered,
+                                                              params),
+            "transmission_leaky": transmission_leaky(dw[i].item(), params),
+            "transmission_leaky.empty": transmission_leaky(
+                dw[i].item(), params, empty_cavity=True, evanescent=True),
+            "contrast_enhancement": contrast_enhancement(
+                x[i].item(), extinction, params),
+        }
+        for what, result in one.items():
+            assert_scalar_is_entry(result, swept[what], i, what)
+        for p, ps in ((one_drive.p_in, drive.p_in),
+                      (one_powered.p_in, powered.p_in),
+                      (critical_power(dw[i].item(), params), p_c)):
+            assert type(p) is float and same_bits(p, ps[i])
+
+
 def _flat_p_e_step(quarter_gamma, start):
     """The first x >= ``start`` whose drive power (gamma/4) x rounds like
     that of the next float, so P_e, and with it P_0, does not increase.
@@ -172,11 +259,11 @@ def _columns(result, names):
     return [getattr(result, name) for name in names]
 
 
-# Before the sweeps were blocked, all four cases failed: the traced peaks
+# Before the sweeps were blocked, all five cases failed: the traced peaks
 # were 35.9 MiB (bistability_scan, for 6.25 MiB of returned columns),
 # 31.3 MiB (saturation_curve, 9.6 MiB), 60.9 MiB (contrast_enhancement,
-# 3.1 MiB) and 56.3 MiB (spectrum, 15.6 MiB).  Blocked, each holds about
-# 1 MiB beyond its columns.
+# 3.1 MiB), 56.3 MiB (spectrum, 15.6 MiB) and 56.3 MiB (sweep_diameter,
+# 17.2 MiB).  Blocked, each holds about 1 MiB beyond its columns.
 @pytest.mark.parametrize("sweep", [
     lambda x: _columns(bistability_scan(DEVICE, [0.1, 0.5, 0.9, 0.99], x),
                        ("p_e", "p_t", "slope_analytic", "slope_numeric")),
@@ -186,8 +273,11 @@ def _columns(result, names):
     lambda x: _columns(contrast_enhancement(x, 57.0, DEVICE),
                        ("c_ideal", "c_leaky")),
     _spectrum_columns,
+    # Diameters of 1 nm to 10 mm.
+    lambda x: _columns(sweep_diameter(1000.0, x),
+                       [f.name for f in dataclasses.fields(DiameterSweep)]),
 ], ids=["bistability_scan", "saturation_curve", "contrast_enhancement",
-        "spectrum"])
+        "spectrum", "sweep_diameter"])
 def test_sweep_memory_is_its_columns_plus_one_block(sweep):
     x = np.logspace(-3.0, 4.0, MEMORY_POINTS)
     sweep(x[:BLOCK_ROWS])           # warm caches and lazy imports

@@ -375,6 +375,21 @@ def test_slowlight_rows(tmp_path):
     assert named["n_half"] == pytest.approx(0.5 * math.log(2) / math.log(1.1))
 
 
+def test_slowlight_manifest_reports_the_chain_of_n_stages(tmp_path):
+    # --n-stages once changed nothing but the manifest's echo of it.
+    out = tmp_path / "sl.csv"
+    assert run(["slowlight", "--f-list", "5,10", "--n-stages", "7",
+                "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    results = read_manifest(out)["results"]
+    assert len(results["delay_after_stages"]) == len(rows) == 2
+    for row, delay, t in zip(rows, results["delay_after_stages"],
+                             results["t_after_stages"]):
+        named = dict(zip(header, row))
+        assert delay == pytest.approx(7 * named["delay_analytic"], rel=1e-15)
+        assert t == pytest.approx(named["t_per_stage"] ** 7, rel=1e-14)
+
+
 def test_bistability_verdicts(tmp_path):
     out = tmp_path / "bi.csv"
     assert run(["bistability", "--x-grid", "log:-3:4:701",

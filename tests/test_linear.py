@@ -284,6 +284,31 @@ def test_kernel_matches_a_50_digit_fixed_point(kappa, dw_k, x):
         assert abs(g - complex(w)) <= 1e-13 * abs(complex(w)), name
 
 
+@pytest.mark.parametrize("gamma, kappa", [
+    (1.0, 500.0), (5.0, 500.0), (1e-6, 1.0), (1.0, 1.0),
+    # Strong coupling, where the dip is much narrower than gamma, and the
+    # ends of the float range.
+    (50.0, 1.0), (1e3, 1.0), (3e-300, 1e-297), (2e300, 1e303)])
+def test_linewidths_match_50_digit_half_maximum_crossings(gamma, kappa):
+    params = make_params(gamma, kappa)
+    lw = linewidths_ideal(params)
+    with mpmath.workdps(50):
+        # x = 1e-20 on resonance, less off it: T at zero drive to 20 digits.
+        b_in = mpmath.sqrt(mpmath.mpf(gamma) / 4) * mpmath.mpf("1e-10")
+
+        def half(u):            # u = dw/kappa
+            return abs(_mp_fixed_point(u * kappa, b_in, params)[4]) ** 2 - 0.5
+
+        peak = mpmath.sqrt(mpmath.mpf(gamma) / (2 * kappa))
+        inner = mpmath.findroot(half, (0, peak), solver="illinois") * kappa
+        outer = mpmath.findroot(half, (peak, peak + 2), solver="illinois") * kappa
+    assert isinstance(lw.dip_numeric, float)
+    assert isinstance(lw.broad_numeric, float)
+    assert lw.dip_numeric == pytest.approx(float(2 * inner), rel=1e-9, abs=0)
+    assert lw.broad_numeric == pytest.approx(float(outer - inner), rel=1e-9,
+                                             abs=0)
+
+
 def _moderate(lo, hi):
     """0 or a float of magnitude in [lo, hi] with a random sign."""
     return st.one_of(st.just(0.0), st.builds(

@@ -50,7 +50,7 @@ def reference_row(design, field_model):
     ext = resonance_extrema(params)
     # |t| * |t|, correctly rounded like the array square; |t| ** 2 calls
     # the C pow, which may miss by one ulp.
-    t_abs = abs(_fixed_point(0.0, 0.0, params)[4])
+    t_abs = abs(_fixed_point(0.0, 0.0, params)[4].item())
     t_min = min(t_abs * t_abs, ext.t_max)
     assert math.isclose(t_min, ext.t_min, rel_tol=1e-14, abs_tol=0.0)
     beta = f / (1.0 + f)
