@@ -7,13 +7,14 @@ and the equivalent-Kerr-medium comparison.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DephasingUnsupported, NonPositiveRate, UnsupportedRegime
 from .linear import _fixed_point, transmission_leaky
-from .model import SystemParams, _block_slices, _blockwise
+from .model import SystemParams, _block_slices, _blockwise, _show
 
 PLANCK_J_S = 6.62607015e-34
 C_LIGHT_M_S = 2.99792458e8
@@ -163,7 +164,9 @@ def contrast_enhancement(x, extinction_in, params: SystemParams) -> ReshapeResul
     x = 0 it is the limit, d if t(0) = 0 (no emitter loss), else 1/d.
     ``x`` may be an array of saturations, evaluated a block of
     `csvio.BLOCK_ROWS` at a time (`model._blockwise`); a scalar gives Python
-    floats.
+    floats.  As the CLI does, it refuses an x != 0 whose drive power
+    (gamma/4) x is not finite or whose low-pulse power (gamma/4) x/d is
+    below the normal float range, where it keeps only a few bits of x.
     """
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0):
@@ -173,9 +176,18 @@ def contrast_enhancement(x, extinction_in, params: SystemParams) -> ReshapeResul
     d = float(extinction_in)
     at_zero = d if params.loss_rate == 0.0 else 1.0 / d
 
-    def block(_, xb):
-        drive = np.sqrt(0.25 * params.gamma * np.stack((xb, xb / d)))
-        *_, t, _ = _fixed_point(0.0, drive, params)
+    def block(sl, xb):
+        with np.errstate(over="ignore"):
+            power = 0.25 * params.gamma * np.stack((xb, xb / d))
+        bad = (xb != 0.0) & ~((power[0] < math.inf)
+                              & (power[1] >= sys.float_info.min))
+        if bad.any():
+            raise UnsupportedRegime(
+                "x must be 0 or give a finite drive power 0.25*x*gamma and a "
+                "low-pulse power 0.25*x*gamma/extinction_in of at least "
+                f"{sys.float_info.min}, got x = "
+                f"{_show(xb if xs.ndim else xb[0], bad, sl.start)}")
+        *_, t, _ = _fixed_point(0.0, np.sqrt(power), params)
         # t(0) = 0 without emitter losses: 0/0 at x = 0, replaced by the limit.
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = (np.abs(t[0] / t[1]) / math.sqrt(d)) ** 2

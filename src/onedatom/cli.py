@@ -373,18 +373,16 @@ def _cmd_pillar(ns, parser):
                  else "--q0/--d-min/--d-max/--epsilon/--wavelength/"
                       "--n-index/--loss-ratio/--gamma-star-ratio")
         raise UnsupportedRegime(f"{flags}: {exc}") from None
-    header = ("d_um", "Q", "V_um3", "Fp", "f", "Tmax", "Tmin",
-              "contrast", "eta", "beta_sq")
-    columns = ("d", "q", "v", "fp", "f", "t_max", "t_min",
-               "contrast", "eta", "beta_sq")
-    m = res.merit
-    return header, [getattr(res.sweep, k) for k in columns], {
+    # CSV header -> field of the sweep and of its optimum row.
+    columns = {"d_um": "d", "Q": "q", "V_um3": "v", "Fp": "fp", "f": "f",
+               "Tmax": "t_max", "Tmin": "t_min", "contrast": "contrast",
+               "eta": "eta", "beta_sq": "beta_sq"}
+    return tuple(columns), [getattr(res.sweep, k) for k in columns.values()], {
         "options": {"d_range": [ns.d_min, ns.d_max]},
         "results": {"d_opt": res.d_opt, "value": res.value,
                     "at_boundary": res.at_boundary,
-                    "Q": m.q, "Fp": m.fp, "f": m.f, "V_um3": m.v,
-                    "Tmax": m.t_max, "Tmin": m.t_min, "contrast": m.contrast,
-                    "eta": m.eta, "beta_sq": m.beta_sq},
+                    **{h: getattr(res.merit, k) for h, k in columns.items()
+                       if h != "d_um"}},
         "diagnostics": {"optimizer": {"grid_points": res.grid_points,
                                       "refine_scans": res.refine_scans}}}
 

@@ -240,19 +240,23 @@ def _blockwise(values, dtypes, fill):
 
 
 class ColumnRecord:
-    """Base of a frozen dataclass that holds a sweep as equal-length columns,
-    one array per field of the row dataclass ``ROW``.
+    """Base of a frozen dataclass whose fields hold Python numbers for one
+    point, or equal-length 1-d arrays for a sweep of points.
 
-    Indexing and iteration give the rows as ``ROW`` of Python scalars.
+    A sweep's indexing and iteration give its rows as the same class built
+    from Python scalars.  A row is true and has no length; a sweep is true
+    when it holds a row.
     """
 
-    ROW = None
+    def __bool__(self):
+        return np.size(getattr(self, fields(self)[0].name)) > 0
 
     def __len__(self):
         return len(getattr(self, fields(self)[0].name))
 
     def __getitem__(self, i):
-        return self.ROW(*(getattr(self, f.name)[i].item() for f in fields(self)))
+        return type(self)(*(getattr(self, f.name)[i].item()
+                            for f in fields(self)))
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -306,21 +310,28 @@ class ScatteringOutcome:
         return self.p_t + self.p_r + self.p_noise
 
 
+#: Column dtypes of a :class:`ScatteringOutcome`, in field order.
+_OUTCOME_DTYPES = (complex, complex) + (float,) * 5
+
+
+def _outcome_block(_, t, r, p_in):
+    """The :class:`ScatteringOutcome` columns of one block of amplitudes
+    ``t``, ``r`` at drive power ``p_in``: a `_blockwise` fill."""
+    # An amplitude that left the float range gives NaN here, silently:
+    # the CLI refuses a NaN column with its own message.
+    with np.errstate(invalid="ignore"):
+        cap_t = np.abs(t) ** 2
+        cap_r = np.abs(r) ** 2
+        p_t = cap_t * p_in
+        p_r = cap_r * p_in
+    return t, r, cap_t, cap_r, p_t, p_r, p_in - p_t - p_r
+
+
 def outcome_from_amplitudes(t, r, p_in) -> ScatteringOutcome:
     """Build a :class:`ScatteringOutcome` from amplitude coefficients.
 
     Scalars give Python numbers, arrays give arrays of their broadcast
     shape.
     """
-    def block(_, t, r, p_in):
-        # An amplitude that left the float range gives NaN here, silently:
-        # the CLI refuses a NaN column with its own message.
-        with np.errstate(invalid="ignore"):
-            cap_t = np.abs(t) ** 2
-            cap_r = np.abs(r) ** 2
-            p_t = cap_t * p_in
-            p_r = cap_r * p_in
-        return t, r, cap_t, cap_r, p_t, p_r, p_in - p_t - p_r
-
-    return ScatteringOutcome(*_blockwise(
-        (t, r, p_in), (complex, complex) + (float,) * 5, block))
+    return ScatteringOutcome(*_blockwise((t, r, p_in), _OUTCOME_DTYPES,
+                                         _outcome_block))

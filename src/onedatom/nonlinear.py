@@ -18,9 +18,9 @@ import numpy as np
 from .errors import (DephasingUnsupported, LeakyNotSupported,
                      UnsupportedRegime)
 from .linear import _fixed_point, empty_cavity_t0, t0_prime
-from .model import (BlochState, ColumnRecord, DriveField, ScatteringOutcome,
-                    SystemParams, _blockwise, _require_finite_entries,
-                    outcome_from_amplitudes)
+from .model import (_OUTCOME_DTYPES, BlochState, ColumnRecord, DriveField,
+                    ScatteringOutcome, SystemParams, _blockwise,
+                    _outcome_block, _require_finite_entries)
 
 #: Saturation range where the semiclassical factorization is qualitative
 #: only (the incoherent noise power is comparable to the coherent signal).
@@ -131,16 +131,22 @@ def scatter_nonlinear(drive: DriveField, params: SystemParams) -> ScatteringOutc
     (maximal at x = 1); a leaky one without dephasing gives
     t = (Q/Q0)(beta/(1 + beta^2 x) - 1).
     """
-    t, r, p_in = _blockwise(
-        (drive.delta_omega, drive.b_in), (complex, complex, float),
-        lambda _, dw, b_in: (*_fixed_point(dw, b_in, params)[4:],
-                             np.abs(b_in) ** 2))
-    return outcome_from_amplitudes(t, r, p_in)
+    def block(sl, dw, b_in):
+        *_, t, r = _fixed_point(dw, b_in, params)
+        return _outcome_block(sl, t, r, np.abs(b_in) ** 2)
+
+    return ScatteringOutcome(*_blockwise((drive.delta_omega, drive.b_in),
+                                         _OUTCOME_DTYPES, block))
 
 
 @dataclass(frozen=True)
-class SaturationCurvePoint:
-    """One row of a resonant saturation sweep."""
+class SaturationCurvePoint(ColumnRecord):
+    """One row of a resonant saturation sweep, or the sweep as columns,
+    one array per quantity.
+
+    Indexing and iteration give a sweep's rows as this class of Python
+    scalars (`model.ColumnRecord`); `SaturationCurve` names it too.
+    """
 
     x: float
     x_eff: float
@@ -152,23 +158,8 @@ class SaturationCurvePoint:
     caution: bool
 
 
-@dataclass(frozen=True)
-class SaturationCurve(ColumnRecord):
-    """A resonant saturation sweep as columns, one array per quantity.
-
-    Indexing and iteration give the rows as :class:`SaturationCurvePoint`.
-    """
-
-    ROW = SaturationCurvePoint
-
-    x: np.ndarray
-    x_eff: np.ndarray
-    cap_t: np.ndarray
-    cap_r: np.ndarray
-    noise_frac: np.ndarray
-    p_t_over_p_c: np.ndarray
-    p_r_over_p_c: np.ndarray
-    caution: np.ndarray
+#: The sweep and its rows are one record.
+SaturationCurve = SaturationCurvePoint
 
 
 def saturation_curve(params: SystemParams, x_grid) -> SaturationCurve:
@@ -177,27 +168,25 @@ def saturation_curve(params: SystemParams, x_grid) -> SaturationCurve:
     ``x_grid`` must be nonnegative and sorted; each x is the resonant-ideal
     normalization 4 P_in/gamma.  Points with 0.1 < x_eff < 10 are flagged
     as semiclassical-caution (the factorization is qualitative across the
-    nonlinear jump).  Each block of `csvio.BLOCK_ROWS` points is one array
-    drive through :func:`scatter_nonlinear` (`model._blockwise`), and the
-    flags come from the assembled x_eff column.
+    nonlinear jump).  Each block of `csvio.BLOCK_ROWS` points is one call
+    of the kernel `_fixed_point` (`model._blockwise`), and the flags come
+    from the assembled x_eff column.
     """
     xs = np.asarray(x_grid, dtype=float).reshape(-1)
     if np.any(xs < 0.0):
         raise UnsupportedRegime("x_grid values must be >= 0")
     if np.any(xs[1:] < xs[:-1]):
         raise UnsupportedRegime("x_grid must be sorted ascending")
-    p_c = critical_power(0.0, params)
 
     def block(sl, xb):
         b_in = np.sqrt(0.25 * xb * params.gamma).astype(complex)
         _require_finite_entries("b_in", b_in, sl.start)
-        drive = DriveField(0.0, b_in)
-        out = scatter_nonlinear(drive, params)
-        p_in = drive.p_in
-        noise = np.divide(out.p_noise, p_in, out=np.zeros_like(p_in),
+        p_c, x_eff, _, _, t, r = _fixed_point(0.0, b_in, params)
+        p_in = np.abs(b_in) ** 2
+        *_, cap_t, cap_r, p_t, p_r, p_noise = _outcome_block(sl, t, r, p_in)
+        noise = np.divide(p_noise, p_in, out=np.zeros_like(p_in),
                           where=p_in > 0.0)
-        return (p_in / p_c, out.cap_t, out.cap_r, noise, out.p_t / p_c,
-                out.p_r / p_c)
+        return x_eff, cap_t, cap_r, noise, p_t / p_c, p_r / p_c
 
     x_eff, *columns = _blockwise((xs,), (float,) * 6, block)
     return SaturationCurve(

@@ -10,10 +10,10 @@ supplied instead.
 Every figure of merit comes from one array evaluation over a set of
 diameters, in blocks of `csvio.BLOCK_ROWS`: a diameter scan is one call,
 each refinement scan of the optimizer is one call, and a single design
-(:func:`figures_of_merit`) is the same call on a one-element array, so
-all give the same bits.  The resonant T_min and T_max are the
-steady-state kernel's transmission at zero drive and its empty-cavity
-limit.
+(:func:`figures_of_merit`) is the same call on a scalar diameter, a
+one-element block, so all give the same bits.  The resonant T_min and
+T_max are the steady-state kernel's transmission at zero drive and its
+empty-cavity limit.
 """
 
 from __future__ import annotations
@@ -116,8 +116,13 @@ class PillarDesign:
 
 
 @dataclass(frozen=True)
-class FiguresOfMerit:
-    """Derived quantities of one design point."""
+class FiguresOfMerit(ColumnRecord):
+    """Derived quantities of one design point, or of a diameter scan as
+    columns, one array per field.
+
+    Indexing and iteration give a scan's rows as this class of Python
+    floats (`model.ColumnRecord`); `DiameterSweep` names it too.
+    """
 
     d: float
     q: float
@@ -132,33 +137,15 @@ class FiguresOfMerit:
     beta_sq: float
 
 
-@dataclass(frozen=True)
-class DiameterSweep(ColumnRecord):
-    """Figures of merit of a diameter scan as columns, one array per field
-    of :class:`FiguresOfMerit`.
-
-    Indexing and iteration give the rows as :class:`FiguresOfMerit`.
-    """
-
-    ROW = FiguresOfMerit
-
-    d: np.ndarray
-    q: np.ndarray
-    v: np.ndarray
-    fp: np.ndarray
-    f: np.ndarray
-    q_ratio: np.ndarray
-    t_max: np.ndarray
-    t_min: np.ndarray
-    contrast: np.ndarray
-    eta: np.ndarray
-    beta_sq: np.ndarray
+#: A diameter scan and its rows are one record.
+DiameterSweep = FiguresOfMerit
 
 
-def _sweep(design: PillarDesign, d: np.ndarray,
-           field_model: FieldProfileModel) -> DiameterSweep:
-    """Figures of merit at the diameters ``d`` (a 1-d array, finite and
-    > 0); ``design`` supplies every other parameter.  The columns are
+def _sweep(design: PillarDesign, d,
+           field_model: FieldProfileModel) -> FiguresOfMerit:
+    """Figures of merit at the diameter ``d``, a float, or at each of the
+    diameters of the 1-d array ``d`` (finite and > 0); ``design`` supplies
+    every other parameter.  A float gives Python floats, an array columns
     filled a block of `csvio.BLOCK_ROWS` diameters at a time
     (`model._blockwise`).
 
@@ -203,7 +190,7 @@ def _sweep(design: PillarDesign, d: np.ndarray,
         return (d, q, v, fp, f, q_ratio, t_max, t_min, contrast, eta,
                 beta * beta)
 
-    return DiameterSweep(*_blockwise((d,), (float,) * 11, block))
+    return FiguresOfMerit(*_blockwise((d,), (float,) * 11, block))
 
 
 def figures_of_merit(design: PillarDesign,
@@ -212,8 +199,7 @@ def figures_of_merit(design: PillarDesign,
 
     The design is evaluated as a one-element diameter scan.
     """
-    return _sweep(design, np.array([float(design.d)]),
-                  field_model or default_field_model())[0]
+    return _sweep(design, float(design.d), field_model or default_field_model())
 
 
 def mode_volume(design: PillarDesign) -> float:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from onedatom import (DephasingUnsupported, NonPositiveRate,
                       empty_cavity_t0, kerr_equivalent, make_params,
                       params_from_ratios, slow_light, switching_intensity,
                       t0_prime)
+from onedatom.csvio import BLOCK_ROWS
 
 IDEAL = make_params(gamma=1.0, kappa=500.0)
 
@@ -242,6 +244,24 @@ def test_reshape_preconditions():
         contrast_enhancement(-1.0, 4.0, IDEAL)
     with pytest.raises(NonPositiveRate):
         contrast_enhancement(1.0, 1.0, IDEAL)
+
+
+def test_reshape_refuses_drives_outside_the_normal_range():
+    # With x/d subnormal, T(x/d) was 0 or subnormal: a device without
+    # emitter loss gave c_leaky = inf at x = 1e-310 and NaN at x = 5e-324,
+    # where the limit is d = 57.  An infinite drive power gave NaN.
+    p = make_params(0.002, 1.0)
+    assert contrast_enhancement(1e-300, 57.0, p).c_leaky == pytest.approx(
+        57.0, rel=1e-14)
+    for x, params in ((1e-310, p), (5e-324, p), (math.inf, p),
+                      (math.nan, p), (1e308, make_params(10.0, 1.0))):
+        with pytest.raises(UnsupportedRegime,
+                           match=re.escape(f"got x = {x!r}") + "$"):
+            contrast_enhancement(x, 57.0, params)
+    grid = np.append(np.logspace(-3.0, 2.0, BLOCK_ROWS + 1), 1e-310)
+    with pytest.raises(UnsupportedRegime,
+                       match=f"x = 1e-310 at index {BLOCK_ROWS + 1}$"):
+        contrast_enhancement(grid, 57.0, p)
 
 
 def test_kerr_semiconductor_length():

@@ -18,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onedatom import (DiameterSweep, DriveField, NonFiniteInput,
-                      bistability_scan, cli, contrast_enhancement,
-                      critical_power, make_params, params_from_ratios,
-                      saturation_curve, saturation_point, scatter_nonlinear,
-                      steady_state, sweep_diameter, transmission_leaky)
+                      ScatteringOutcome, bistability_scan, cli,
+                      contrast_enhancement, critical_power, make_params,
+                      params_from_ratios, saturation_curve, saturation_point,
+                      scatter_nonlinear, steady_state, sweep_diameter,
+                      transmission_leaky)
 from onedatom.csvio import BLOCK_ROWS
 
 N = 2 * BLOCK_ROWS + 3
@@ -157,6 +158,10 @@ def test_scalar_calls_are_the_array_entries_bit_for_bit(params, data, n,
 
     dw = column(st.floats(-3.0, 3.0)) * params.kappa
     x = column(st.floats(0.0, 1e3))
+    # contrast_enhancement refuses an x > 0 whose low pulse (gamma/4)
+    # x/extinction is subnormal (see tests/test_applications.py); these
+    # keep it normal for every device drawn here.
+    x_reshape = column(st.one_of(st.just(0.0), st.floats(1e-280, 1e3)))
     p_in = 0.25 * x * params.gamma
     b_in = np.sqrt(p_in) * np.exp(1j * column(st.floats(-math.pi, math.pi)))
     drive = DriveField(dw, b_in)
@@ -170,7 +175,8 @@ def test_scalar_calls_are_the_array_entries_bit_for_bit(params, data, n,
         "transmission_leaky": transmission_leaky(dw, params),
         "transmission_leaky.empty": transmission_leaky(
             dw, params, empty_cavity=True, evanescent=True),
-        "contrast_enhancement": contrast_enhancement(x, extinction, params),
+        "contrast_enhancement": contrast_enhancement(x_reshape, extinction,
+                                                     params),
     }
     p_c = critical_power(dw, params)
     for i in range(n):
@@ -187,7 +193,7 @@ def test_scalar_calls_are_the_array_entries_bit_for_bit(params, data, n,
             "transmission_leaky.empty": transmission_leaky(
                 dw[i].item(), params, empty_cavity=True, evanescent=True),
             "contrast_enhancement": contrast_enhancement(
-                x[i].item(), extinction, params),
+                x_reshape[i].item(), extinction, params),
         }
         for what, result in one.items():
             assert_scalar_is_entry(result, swept[what], i, what)
@@ -263,7 +269,9 @@ def _columns(result, names):
 # were 35.9 MiB (bistability_scan, for 6.25 MiB of returned columns),
 # 31.3 MiB (saturation_curve, 9.6 MiB), 60.9 MiB (contrast_enhancement,
 # 3.1 MiB), 56.3 MiB (spectrum, 15.6 MiB) and 56.3 MiB (sweep_diameter,
-# 17.2 MiB).  Blocked, each holds about 1 MiB beyond its columns.
+# 17.2 MiB).  Blocked, each holds about 1 MiB beyond its columns.  An
+# array scatter_nonlinear that filled t, r and p_in in one pass and its
+# seven columns in a second traced 22.1 MiB for 14.1 MiB of columns.
 @pytest.mark.parametrize("sweep", [
     lambda x: _columns(bistability_scan(DEVICE, [0.1, 0.5, 0.9, 0.99], x),
                        ("p_e", "p_t", "slope_analytic", "slope_numeric")),
@@ -276,8 +284,11 @@ def _columns(result, names):
     # Diameters of 1 nm to 10 mm.
     lambda x: _columns(sweep_diameter(1000.0, x),
                        [f.name for f in dataclasses.fields(DiameterSweep)]),
+    # Amplitudes of 1e-3 to 1e4 sqrt(photons/s) on resonance.
+    lambda x: _columns(scatter_nonlinear(DriveField(0.0, x), DEVICE),
+                       [f.name for f in dataclasses.fields(ScatteringOutcome)]),
 ], ids=["bistability_scan", "saturation_curve", "contrast_enhancement",
-        "spectrum", "sweep_diameter"])
+        "spectrum", "sweep_diameter", "scatter_nonlinear"])
 def test_sweep_memory_is_its_columns_plus_one_block(sweep):
     x = np.logspace(-3.0, 4.0, MEMORY_POINTS)
     sweep(x[:BLOCK_ROWS])           # warm caches and lazy imports

@@ -8,8 +8,9 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
 from onedatom import (DriveField, LeakyNotSupported, NonFiniteInput,
-                      NonPositiveRate, UnsupportedRegime, critical_power,
-                      make_params, output_amplitudes, params_from_ratios,
+                      NonPositiveRate, SaturationCurve, SaturationCurvePoint,
+                      UnsupportedRegime, critical_power, make_params,
+                      output_amplitudes, params_from_ratios,
                       phi_ideal, phi_leaky, resonance_extrema,
                       saturation_curve, saturation_point, scatter_nonlinear,
                       settle, steady_state, susceptibility,
@@ -260,6 +261,13 @@ def test_saturation_curve_columns_match_rows():
             assert row.caution == curve.caution[i]
         assert curve[-1] == list(curve)[30]
         assert curve.x.tolist() == xs.tolist()
+    # A sweep and its rows are one record: a row is true and has no
+    # length, a sweep is true when it holds a row.
+    assert SaturationCurve is SaturationCurvePoint
+    assert type(curve[0]) is type(curve) is SaturationCurve
+    assert curve and curve[0] and not saturation_curve(IDEAL, [])
+    with pytest.raises(TypeError):
+        len(curve[0])
 
 
 def test_saturation_curve_agrees_with_scalar_drives():

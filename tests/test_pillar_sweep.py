@@ -92,6 +92,12 @@ def test_sweep_rows_are_python_float_figures_of_merit():
     assert [type(r) for r in rows] == [FiguresOfMerit] * 3
     assert all(type(getattr(r, name)) is float for r in rows for name in COLUMNS)
     assert rows[1] == sweep[1] == figures_of_merit(PillarDesign(q0=1000.0, d=2.4))
+    # A scan and its rows are one record: a row is true and has no length,
+    # a scan is true when it holds a row.
+    assert DiameterSweep is FiguresOfMerit and type(sweep) is DiameterSweep
+    assert sweep and rows[0] and not sweep_diameter(1000.0, [])
+    with pytest.raises(TypeError):
+        len(rows[0])
 
 
 def test_optimizer_sweep_and_probes_share_the_scan():
