@@ -7,14 +7,13 @@ and the equivalent-Kerr-medium comparison.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DephasingUnsupported, NonPositiveRate, UnsupportedRegime
 from .linear import _fixed_point, transmission_leaky
-from .model import SystemParams, _block_slices, _blockwise, _show
+from .model import SystemParams, _block_slices, _blockwise, _drive_power
 
 PLANCK_J_S = 6.62607015e-34
 C_LIGHT_M_S = 2.99792458e8
@@ -92,14 +91,15 @@ def bistability_scan(params: SystemParams, fraction_a, x_grid) -> BistabilityRes
     dP_t/dP_e exceeds 1 somewhere.  P_e = (gamma/4) x drives the resonance;
     `_fixed_point` gives P_t = P_e |t|^2, x_eff = P_e/P_c and, through
     dt/dx_eff = (t_inf - t)/(1 + x_eff) with t_inf = -(Q/Q0) t0'(0),
-    dP_t/dP_e = |t|^2 + 2 x_eff Re(conj(t) (t_inf - t))/(1 + x_eff); two
-    more calls give a central difference (step 1e-5 (1+x)).  The columns
-    are filled a block of `csvio.BLOCK_ROWS` points at a time
-    (`model._blockwise`); ``max_slope`` and the verdicts come from the
-    assembled columns.  A fraction A gives a unique solution if
-    P_0 = P_e - A P_t increases strictly over the grid, checked one
-    fraction and one block (with the point before it) at a time; an array
-    ``fraction_a`` gives arrays of fractions and verdicts.
+    dP_t/dP_e = |t|^2 + 2 x_eff Re(conj(t) (t_inf - t))/(1 + x_eff); the
+    drives x +- h give a central difference, h = 1e-5 (1+x) where that is
+    at most x/2, else 1e-5 x (at least the least float).  A block of
+    `csvio.BLOCK_ROWS` points is one kernel call on its three drives,
+    refused as the CLI does (`model._drive_power`); ``max_slope`` and the
+    verdicts come from the assembled columns.  A fraction A gives a unique
+    solution if P_0 = P_e - A P_t increases strictly over the grid,
+    checked one fraction and one block (with the point before it) at a
+    time; an array ``fraction_a`` gives arrays of fractions and verdicts.
     """
     a = np.asarray(fraction_a, dtype=float)
     if not np.all((0.0 <= a) & (a < 1.0)):
@@ -107,21 +107,21 @@ def bistability_scan(params: SystemParams, fraction_a, x_grid) -> BistabilityRes
     x = np.asarray(x_grid, dtype=float).reshape(-1)
     if x.size < 2 or np.any(x <= 0.0) or np.any(np.diff(x) <= 0.0):
         raise NonPositiveRate("x_grid must be positive, sorted, len >= 2")
-    quarter_gamma = 0.25 * params.gamma
     t_inf = transmission_leaky(0.0, params, empty_cavity=True).t
 
-    def block(_, xb):
+    def block(sl, xb):
         h = 1e-5 * (1.0 + xb)
-        p_t_hi, p_t_lo = (
-            p * np.abs(_fixed_point(0.0, np.sqrt(p), params)[4]) ** 2
-            for p in (quarter_gamma * (xb + h), quarter_gamma * (xb - h)))
-        slope_numeric = (p_t_hi - p_t_lo) / (2.0 * quarter_gamma * h)
-        p_e = quarter_gamma * xb
-        _, x_eff, _, _, t, _ = _fixed_point(0.0, np.sqrt(p_e), params)
+        h = np.where(h <= 0.5 * xb, h, np.maximum(1e-5 * xb, math.ulp(0.0)))
+        power = _drive_power(np.stack((xb, xb + h, xb - h)), params.gamma,
+                             sl.start)
+        _, x_eff, _, _, t, _ = _fixed_point(0.0, np.sqrt(power), params)
         cap_t = np.abs(t) ** 2
-        slope_analytic = cap_t + 2.0 * x_eff * (
+        p_t, p_t_hi, p_t_lo = power * cap_t
+        slope_numeric = (p_t_hi - p_t_lo) / (0.5 * params.gamma * h)
+        x_eff, t = np.minimum(x_eff[0], 2.0 ** 53), t[0]  # x/(1+x) is 1 there
+        slope_analytic = cap_t[0] + 2.0 * x_eff * (
             t.conjugate() * (t_inf - t)).real / (1.0 + x_eff)
-        return p_e, p_e * cap_t, slope_analytic, slope_numeric
+        return power[0], p_t, slope_analytic, slope_numeric
 
     p_e, p_t, slope_analytic, slope_numeric = _blockwise(
         (x,), (float,) * 4, block)
@@ -164,9 +164,9 @@ def contrast_enhancement(x, extinction_in, params: SystemParams) -> ReshapeResul
     x = 0 it is the limit, d if t(0) = 0 (no emitter loss), else 1/d.
     ``x`` may be an array of saturations, evaluated a block of
     `csvio.BLOCK_ROWS` at a time (`model._blockwise`); a scalar gives Python
-    floats.  As the CLI does, it refuses an x != 0 whose drive power
-    (gamma/4) x is not finite or whose low-pulse power (gamma/4) x/d is
-    below the normal float range, where it keeps only a few bits of x.
+    floats.  As the CLI does (`model._drive_power`), it refuses an x != 0
+    whose drive power (gamma/4) x is not finite or whose low-pulse power
+    (gamma/4) x/d is subnormal.  A ratio beyond the float range is inf.
     """
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0):
@@ -177,22 +177,14 @@ def contrast_enhancement(x, extinction_in, params: SystemParams) -> ReshapeResul
     at_zero = d if params.loss_rate == 0.0 else 1.0 / d
 
     def block(sl, xb):
-        with np.errstate(over="ignore"):
-            power = 0.25 * params.gamma * np.stack((xb, xb / d))
-        bad = (xb != 0.0) & ~((power[0] < math.inf)
-                              & (power[1] >= sys.float_info.min))
-        if bad.any():
-            raise UnsupportedRegime(
-                "x must be 0 or give a finite drive power 0.25*x*gamma and a "
-                "low-pulse power 0.25*x*gamma/extinction_in of at least "
-                f"{sys.float_info.min}, got x = "
-                f"{_show(xb if xs.ndim else xb[0], bad, sl.start)}")
+        power = _drive_power(xb if xs.ndim else xb[0], params.gamma, sl.start,
+                             np.reshape((1.0, d), (2, 1) if xs.ndim else 2))
         *_, t, _ = _fixed_point(0.0, np.sqrt(power), params)
         # t(0) = 0 without emitter losses: 0/0 at x = 0, replaced by the limit.
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             ratio = (np.abs(t[0] / t[1]) / math.sqrt(d)) ** 2
-        return (xb, d * ((1.0 + xb) / (1.0 + xb / d)) ** 2,
-                np.where(xb == 0.0, at_zero, ratio))
+            c_ideal = d * ((1.0 + xb) / (1.0 + xb / d)) ** 2
+        return xb, c_ideal, np.where(xb == 0.0, at_zero, ratio)
 
     x, c_ideal, c_leaky = _blockwise((xs,), (float,) * 3, block)
     return ReshapeResult(x, d, c_ideal, c_leaky)

@@ -94,19 +94,15 @@ def _parse_list(spec: str) -> list[float]:
 
 
 def _check_drive(parser, ns, flag, x, gamma, extinction=1.0):
-    """Usage error unless the drive power 0.25*x*gamma/extinction of every
-    x != 0 in ``x`` (the value or grid of the option ``flag``) is a finite
-    normal float: a subnormal power keeps only a few bits of x."""
-    x = np.abs(np.ravel(x))
-    x = x[x > 0.0] / extinction
-    low, high = (0.25 * float(v) * gamma
-                 for v in (x.min(initial=math.inf), x.max(initial=0.0)))
-    if not (math.isfinite(high) and low >= sys.float_info.min):
+    """`model._drive_power` of the value or grid ``x`` of the option
+    ``flag``; a refusal is a usage error naming gamma's flags and ``flag``."""
+    from .model import _drive_power
+    try:
+        return _drive_power(x, gamma, extinction=extinction)
+    except UnsupportedRegime as exc:
         system = ("--gamma" if ns.gamma is not None
                   else "--gamma-over-kappa/--kappa")
-        parser.error(f"{system}/{flag} must give a finite drive power "
-                     f"0.25*x*gamma of at least {sys.float_info.min}, got "
-                     f"{low} to {high}")
+        parser.error(f"{system}/{flag} must give valid drive powers: {exc}")
 
 
 def _json_safe(v):
@@ -260,29 +256,26 @@ def _build_params(ns, parser, *, force_ideal=False):
 # subcommand handlers
 
 def _cmd_spectrum(ns, parser):
-    from .linear import transmission_leaky
-    from .model import DriveField, _blockwise, _show
-    from .nonlinear import scatter_nonlinear
+    from .linear import _fixed_point, t0_prime
+    from .model import _blockwise, _show
     nu = _grid_option(parser, "--grid", ns.grid)
     params = _build_params(ns, parser)
-    _check_drive(parser, ns, "--x", ns.x, params.gamma)
+    b_in = np.sqrt(_check_drive(parser, ns, "--x", ns.x, params.gamma))
     with np.errstate(over="ignore", invalid="ignore"):
         dw = nu * params.kappa - params.delta
     bad = ~np.isfinite(dw)
     if np.any(bad):
         parser.error("--grid/--kappa/--delta must give finite detunings "
                      f"nu*kappa - delta, got {_show(dw, bad)}")
-    b_in = DriveField.from_power(0.0, 0.25 * ns.x * params.gamma).b_in
 
     def block(_, dwb):
-        empty = transmission_leaky(dwb, params, empty_cavity=True,
-                                   evanescent=ns.evanescent)
-        out = scatter_nonlinear(DriveField(dwb, b_in), params)
-        t, r, cap_t, cap_r = out.t, out.r, out.cap_t, out.cap_r
+        *_, t, r = _fixed_point(dwb, b_in, params)
+        t_empty = -params.q_ratio * t0_prime(dwb, params)
         if ns.evanescent:
-            t, r, cap_t, cap_r = r, t, cap_r, cap_t
+            t, r, t_empty = r, t, 1.0 + t_empty
+        cap_t, cap_r = np.abs(t) ** 2, np.abs(r) ** 2
         return (t.real, t.imag, r.real, r.imag, cap_t, cap_r,
-                1.0 - cap_t - cap_r, empty.cap_t)
+                1.0 - cap_t - cap_r, np.abs(t_empty) ** 2)
 
     header = ("nu", "delta_omega", "re_t", "im_t", "re_r", "im_r",
               "cap_t", "cap_r", "leaks", "cap_t0")
@@ -309,9 +302,8 @@ def _cmd_dynamics(ns, parser):
     params = _build_params(ns, parser)
     if ns.x is not None and ns.power is not None:
         parser.error("--x and --power are mutually exclusive")
-    p_in = ns.power if ns.power is not None else 0.25 * (ns.x or 0.0) * params.gamma
-    if not (math.isfinite(p_in) and p_in >= 0.0):
-        parser.error(f"--x/--power must give a finite drive power >= 0, got {p_in}")
+    p_in = ns.power if ns.power is not None else float(_check_drive(
+        parser, ns, "--x/--power", ns.x or 0.0, params.gamma))
     drive = DriveField.from_power(ns.delta_omega, p_in)
     duration = ns.duration if ns.duration is not None else 20.0 / params.gamma
     initial = BlochState(complex(ns.initial_re_s, ns.initial_im_s),

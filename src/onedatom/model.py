@@ -13,12 +13,14 @@ scalar is a one-element block.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .csvio import BLOCK_ROWS
-from .errors import InvalidInitial, NonFiniteInput, NonPositiveRate
+from .errors import (InvalidInitial, NonFiniteInput, NonPositiveRate,
+                     UnsupportedRegime)
 
 #: gamma/kappa threshold under which the adiabatic elimination of the cavity
 #: is considered safe (bad-cavity regime).
@@ -165,7 +167,11 @@ class DriveField:
 
     def __post_init__(self):
         for name in ("delta_omega", "b_in"):
-            _require_finite_entries(name, getattr(self, name))
+            value = getattr(self, name)
+            bad = ~np.isfinite(value)
+            if bad.any():
+                raise NonFiniteInput(
+                    f"{name} must be finite, got {_show(value, bad)}")
 
     @property
     def p_in(self) -> float:
@@ -194,13 +200,25 @@ def _show(value, bad, start=0):
     return f"{np.ravel(value)[i].item()!r} at index {start + i}"
 
 
-def _require_finite_entries(name, value, start=0):
-    """NonFiniteInput naming the first entry of ``value`` that is not
-    finite; ``start`` is the index of the first entry in its grid."""
-    bad = ~np.isfinite(value)
+def _drive_power(x, gamma, start=0, extinction=1.0):
+    """(gamma/4) x/extinction for each saturation parameter in ``x``, a
+    number, a grid or a 2-d stack of drives per point whose first row is
+    the grid (``extinction`` may add a leading axis of pulses); gamma's
+    exponent is applied last, so no intermediate overflows.  Raises
+    `UnsupportedRegime` naming the first x != 0 (index plus ``start``)
+    whose drive power is not finite or is subnormal."""
+    x = np.asarray(x, dtype=float)
+    mantissa, exponent = math.frexp(gamma)
+    with np.errstate(over="ignore"):
+        power = np.ldexp(mantissa * (x / extinction), exponent - 2)
+    bad = (x != 0.0) & ~((power < math.inf) & (power >= sys.float_info.min))
     if bad.any():
-        raise NonFiniteInput(f"{name} must be finite, got "
-                             f"{_show(value, bad, start)}")
+        grid = x[0] if x.ndim == 2 else x
+        bad = bad.reshape((-1,) + grid.shape).any(0)
+        raise UnsupportedRegime(
+            "x must be 0 or give finite drive powers 0.25*x*gamma/extinction"
+            f" >= {sys.float_info.min}, got x = {_show(grid, bad, start)}")
+    return power
 
 
 def _block_slices(n):
@@ -244,8 +262,8 @@ class ColumnRecord:
     point, or equal-length 1-d arrays for a sweep of points.
 
     A sweep's indexing and iteration give its rows as the same class built
-    from Python scalars.  A row is true and has no length; a sweep is true
-    when it holds a row.
+    from Python scalars, a slice the sweep of its rows.  A row is true and
+    has no length; a sweep is true when it holds a row.
     """
 
     def __bool__(self):
@@ -255,8 +273,9 @@ class ColumnRecord:
         return len(getattr(self, fields(self)[0].name))
 
     def __getitem__(self, i):
-        return type(self)(*(getattr(self, f.name)[i].item()
-                            for f in fields(self)))
+        columns = (getattr(self, f.name)[i] for f in fields(self))
+        return type(self)(*(columns if isinstance(i, slice)
+                            else (column.item() for column in columns)))
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))

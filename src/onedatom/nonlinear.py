@@ -19,8 +19,8 @@ from .errors import (DephasingUnsupported, LeakyNotSupported,
                      UnsupportedRegime)
 from .linear import _fixed_point, empty_cavity_t0, t0_prime
 from .model import (_OUTCOME_DTYPES, BlochState, ColumnRecord, DriveField,
-                    ScatteringOutcome, SystemParams, _blockwise,
-                    _outcome_block, _require_finite_entries)
+                    ScatteringOutcome, SystemParams, _blockwise, _drive_power,
+                    _outcome_block)
 
 #: Saturation range where the semiclassical factorization is qualitative
 #: only (the incoherent noise power is comparable to the coherent signal).
@@ -165,24 +165,21 @@ SaturationCurve = SaturationCurvePoint
 def saturation_curve(params: SystemParams, x_grid) -> SaturationCurve:
     """Evaluate the resonant scattering on a grid of saturation parameters.
 
-    ``x_grid`` must be nonnegative and sorted; each x is the resonant-ideal
-    normalization 4 P_in/gamma.  Points with 0.1 < x_eff < 10 are flagged
-    as semiclassical-caution (the factorization is qualitative across the
-    nonlinear jump).  Each block of `csvio.BLOCK_ROWS` points is one call
-    of the kernel `_fixed_point` (`model._blockwise`), and the flags come
-    from the assembled x_eff column.
+    ``x_grid`` must be sorted; each x is the resonant-ideal normalization
+    4 P_in/gamma, refused as the CLI refuses it (`model._drive_power`).
+    Points with 0.1 < x_eff < 10 are flagged as semiclassical-caution (the
+    factorization is qualitative across the nonlinear jump).  Each block of
+    `csvio.BLOCK_ROWS` points is one call of the kernel `_fixed_point`
+    (`model._blockwise`), and the flags come from the assembled x_eff column.
     """
     xs = np.asarray(x_grid, dtype=float).reshape(-1)
-    if np.any(xs < 0.0):
-        raise UnsupportedRegime("x_grid values must be >= 0")
     if np.any(xs[1:] < xs[:-1]):
         raise UnsupportedRegime("x_grid must be sorted ascending")
 
     def block(sl, xb):
-        b_in = np.sqrt(0.25 * xb * params.gamma).astype(complex)
-        _require_finite_entries("b_in", b_in, sl.start)
+        b_in = np.sqrt(_drive_power(xb, params.gamma, sl.start))
         p_c, x_eff, _, _, t, r = _fixed_point(0.0, b_in, params)
-        p_in = np.abs(b_in) ** 2
+        p_in = b_in ** 2
         *_, cap_t, cap_r, p_t, p_r, p_noise = _outcome_block(sl, t, r, p_in)
         noise = np.divide(p_noise, p_in, out=np.zeros_like(p_in),
                           where=p_in > 0.0)

@@ -84,6 +84,14 @@ def test_bistability_slope_formula_vs_numeric():
     assert np.all(scan.slope_analytic < 1.0)
 
 
+def test_bistability_slope_below_the_difference_step():
+    # Below x = 2.1e-5 the step is 1e-5 x.  It was 1e-5 (1+x), so under
+    # x = 1e-5 the drive x - h was negative: NaN, read as zero drive.
+    scan = bistability_scan(params_from_ratios(0.002, 1.0, q_ratio=0.9, f=7.0),
+                            0.5, np.logspace(-10, -3, 701))
+    assert_allclose(scan.slope_numeric, scan.slope_analytic, rtol=1e-6, atol=0)
+
+
 def test_bistability_preconditions():
     with pytest.raises(NonPositiveRate):
         bistability_scan(IDEAL, 1.0, [1.0, 2.0])

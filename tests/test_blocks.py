@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onedatom import (DiameterSweep, DriveField, NonFiniteInput,
-                      ScatteringOutcome, bistability_scan, cli,
+from onedatom import (DiameterSweep, DriveField, ScatteringOutcome,
+                      UnsupportedRegime, bistability_scan, cli,
                       contrast_enhancement, critical_power, make_params,
                       params_from_ratios, saturation_curve, saturation_point,
                       scatter_nonlinear, steady_state, sweep_diameter,
@@ -236,7 +236,8 @@ def test_bistability_verdict_sees_a_flat_step_in_the_second_block(step):
 def test_saturation_refusal_names_the_grid_index():
     x = np.logspace(-3.0, 4.0, N)
     x[BLOCK_ROWS + 5:] = math.inf
-    with pytest.raises(NonFiniteInput, match=f"b_in.*index {BLOCK_ROWS + 5}$"):
+    with pytest.raises(UnsupportedRegime,
+                       match=f"x = inf at index {BLOCK_ROWS + 5}$"):
         saturation_curve(DEVICE, x)
 
 

@@ -449,8 +449,8 @@ def test_bistability_honours_detuning_and_leaks(tmp_path):
 
 def test_bistability_kernel_calls_do_not_grow_with_fractions(tmp_path,
                                                               monkeypatch):
-    # One kernel call for the scan and one per central-difference point,
-    # for any number of feedback fractions (was one scan per fraction).
+    # One kernel call for the scan and both central-difference points, for
+    # any number of feedback fractions (was one scan per fraction).
     from onedatom import applications
     calls = []
     kernel = applications._fixed_point
@@ -463,7 +463,7 @@ def test_bistability_kernel_calls_do_not_grow_with_fractions(tmp_path,
                     "--x-grid", "log:-3:4:71",
                     "--out", str(tmp_path / "bi.csv")]) == 0
         counts.append(len(calls))
-    assert counts == [3, 3, 3]
+    assert counts == [1, 1, 1]
     verdicts = read_manifest(tmp_path / "bi.csv")["results"]["verdicts"]
     assert list(verdicts) == ["0.0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6"]
     # Keys are exact: fractions that print alike in six digits stay apart.
@@ -998,9 +998,9 @@ def _flag_arities():
 
 FLAGS = _flag_arities()
 VALUES = ["0", "-1", "1", "0.3", "2.5", "nan", "inf", "-inf", "1e308",
-          "-1e308", "0:1:5", "log:-3:4:7", "1:0:3", "0:1:1", "0:1",
-          "log:0:400:3", "nan:1:3", "a:b:c", "5,0", ",", "1,x", "5,10,inf",
-          "", "junk", "--"]
+          "-1e308", "0:1:5", "log:-3:4:7", "log:-8:0:5", "1:0:3", "0:1:1",
+          "0:1", "log:0:400:3", "nan:1:3", "a:b:c", "5,0", ",", "1,x",
+          "5,10,inf", "", "junk", "--"]
 #: Flags set before the fuzzed ones, so that a dynamics example stays short
 #: unless it overrides them.
 CHEAP_PREFIX = {"dynamics": ["--duration", "1", "--samples", "3"]}

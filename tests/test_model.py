@@ -1,11 +1,18 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from onedatom import (BlochState, DriveField, NonFiniteInput, NonPositiveRate,
-                      make_params, outcome_from_amplitudes, params_from_ratios)
+                      UnsupportedRegime, bistability_scan, cli,
+                      contrast_enhancement, make_params,
+                      outcome_from_amplitudes, params_from_ratios,
+                      saturation_curve)
+from onedatom.model import _drive_power
 
 
 def test_ideal_bad_cavity_point():
@@ -121,3 +128,60 @@ def test_outcome_bookkeeping():
     assert out.p_t == pytest.approx(0.5)
     assert out.p_noise == pytest.approx(1.0)
     assert out.p_in == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("call, got", [
+    # Each gave numbers: x_eff 0.001976 and 0.009881 for x = 0.001 and
+    # 0.01 with noise_frac -inf, x_eff 1.00000003307e-313, and p_e = inf
+    # with NaN slopes.
+    (lambda: saturation_curve(make_params(1e-320, 1.0), [1e-3, 1e-2, 1.0]),
+     "x = 0.001 at index 0"),
+    (lambda: saturation_curve(make_params(0.002, 1.0), [1e-313]),
+     "x = 1e-313 at index 0"),
+    (lambda: bistability_scan(make_params(10.0, 1.0), 0.5, [1.0, 1e308]),
+     "x = 1e+308 at index 1"),
+])
+def test_sweeps_refuse_drives_outside_the_normal_range(call, got):
+    with pytest.raises(UnsupportedRegime, match=re.escape(got) + "$"):
+        call()
+
+
+def _refusal(call):
+    """The message of the `UnsupportedRegime` that ``call()`` raises, or
+    None."""
+    try:
+        call()
+    except UnsupportedRegime as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(log_gamma=st.floats(-320.0, 308.0),
+       ends=st.lists(st.integers(-323, 308), min_size=2, max_size=2,
+                     unique=True).map(sorted),
+       n=st.integers(2, 6), log_extinction=st.floats(0.01, 300.0))
+def test_api_and_cli_refuse_exactly_where_the_drive_power_rule_does(
+        tmp_path, log_gamma, ends, n, log_extinction):
+    gamma, extinction = 10.0 ** log_gamma, 10.0 ** log_extinction
+    spec = f"log:{ends[0]}:{ends[1]}:{n}"
+    x = cli.parse_grid(spec)
+    params = make_params(gamma, 1.0)
+    # bistability_scan's central-difference drives.
+    h = np.where(1e-5 * (1.0 + x) <= 0.5 * x, 1e-5 * (1.0 + x),
+                 np.maximum(1e-5 * x, math.ulp(0.0)))
+    cases = {
+        "saturation": (lambda: saturation_curve(params, x), x, 1.0, []),
+        "bistability": (lambda: bistability_scan(params, 0.5, x),
+                        np.stack((x, x + h, x - h)), 1.0, []),
+        "reshape": (lambda: contrast_enhancement(x, extinction, params), x,
+                    np.array([[1.0], [extinction]]),
+                    ["--extinction", repr(extinction)]),
+    }
+    for command, (call, drives, ext, flags) in cases.items():
+        want = _refusal(lambda: _drive_power(drives, gamma, extinction=ext))
+        assert _refusal(call) == want, command
+        code = cli.run([command, "--gamma", repr(gamma), "--x-grid", spec,
+                        *flags, "--out", str(tmp_path / "o.csv")])
+        assert (code == 2) == (want is not None), (command, code)

@@ -268,6 +268,10 @@ def test_saturation_curve_columns_match_rows():
     assert curve and curve[0] and not saturation_curve(IDEAL, [])
     with pytest.raises(TypeError):
         len(curve[0])
+    # A slice is the sweep of its rows (was a ValueError from `.item()`).
+    part = saturation_curve(IDEAL, [0.0, 1.0, 10.0])[1:3]
+    assert type(part) is SaturationCurve and part.x.tolist() == [1.0, 10.0]
+    assert list(part) == list(saturation_curve(IDEAL, [1.0, 10.0]))
 
 
 def test_saturation_curve_agrees_with_scalar_drives():
