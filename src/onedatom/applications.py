@@ -93,9 +93,10 @@ def bistability_scan(params: SystemParams, fraction_a, x_grid) -> BistabilityRes
     dt/dx_eff = (t_inf - t)/(1 + x_eff) with t_inf = -(Q/Q0) t0'(0),
     dP_t/dP_e = |t|^2 + 2 x_eff Re(conj(t) (t_inf - t))/(1 + x_eff); the
     drives x +- h give a central difference, h = 1e-5 (1+x) where that is
-    at most x/2, else 1e-5 x (at least the least float).  A block of
-    `csvio.BLOCK_ROWS` points is one kernel call on its three drives,
-    refused as the CLI does (`model._drive_power`); ``max_slope`` and the
+    at most x/2, else 1e-5 x (at least the least float), taken on P_t
+    scaled by 2^(2-e), gamma = m 2^e, so a subnormal P_t keeps its bits.
+    A block of `csvio.BLOCK_ROWS` points is one kernel call on its three
+    drives, refused by `model._drive_power`; ``max_slope`` and the
     verdicts come from the assembled columns.  A fraction A gives a unique
     solution if P_0 = P_e - A P_t increases strictly over the grid,
     checked one fraction and one block (with the point before it) at a
@@ -108,6 +109,7 @@ def bistability_scan(params: SystemParams, fraction_a, x_grid) -> BistabilityRes
     if x.size < 2 or np.any(x <= 0.0) or np.any(np.diff(x) <= 0.0):
         raise NonPositiveRate("x_grid must be positive, sorted, len >= 2")
     t_inf = transmission_leaky(0.0, params, empty_cavity=True).t
+    mantissa, exponent = math.frexp(params.gamma)
 
     def block(sl, xb):
         h = 1e-5 * (1.0 + xb)
@@ -116,12 +118,13 @@ def bistability_scan(params: SystemParams, fraction_a, x_grid) -> BistabilityRes
                              sl.start)
         _, x_eff, _, _, t, _ = _fixed_point(0.0, np.sqrt(power), params)
         cap_t = np.abs(t) ** 2
-        p_t, p_t_hi, p_t_lo = power * cap_t
-        slope_numeric = (p_t_hi - p_t_lo) / (0.5 * params.gamma * h)
+        # Exact scalings where P_t is normal: (p_hi - p_lo)/(gamma h/2) there.
+        u_hi, u_lo = np.ldexp(power[1:], 2 - exponent) * cap_t[1:]
+        slope_numeric = (u_hi - u_lo) / (2.0 * (mantissa * h))
         x_eff, t = np.minimum(x_eff[0], 2.0 ** 53), t[0]  # x/(1+x) is 1 there
         slope_analytic = cap_t[0] + 2.0 * x_eff * (
             t.conjugate() * (t_inf - t)).real / (1.0 + x_eff)
-        return power[0], p_t, slope_analytic, slope_numeric
+        return power[0], power[0] * cap_t[0], slope_analytic, slope_numeric
 
     p_e, p_t, slope_analytic, slope_numeric = _blockwise(
         (x,), (float,) * 4, block)
@@ -164,21 +167,20 @@ def contrast_enhancement(x, extinction_in, params: SystemParams) -> ReshapeResul
     x = 0 it is the limit, d if t(0) = 0 (no emitter loss), else 1/d.
     ``x`` may be an array of saturations, evaluated a block of
     `csvio.BLOCK_ROWS` at a time (`model._blockwise`); a scalar gives Python
-    floats.  As the CLI does (`model._drive_power`), it refuses an x != 0
+    floats.  `model._drive_power` refuses an x != 0 (a negative one too)
     whose drive power (gamma/4) x is not finite or whose low-pulse power
     (gamma/4) x/d is subnormal.  A ratio beyond the float range is inf.
     """
     xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0.0):
-        raise NonPositiveRate(f"x must be >= 0, got {xs.min()}")
     if not extinction_in > 1.0:
         raise NonPositiveRate(f"extinction_in must be > 1, got {extinction_in}")
     d = float(extinction_in)
     at_zero = d if params.loss_rate == 0.0 else 1.0 / d
 
     def block(sl, xb):
+        # A row per pulse for a scalar too: numpy's scalar ** can be 1 ulp off.
         power = _drive_power(xb if xs.ndim else xb[0], params.gamma, sl.start,
-                             np.reshape((1.0, d), (2, 1) if xs.ndim else 2))
+                             np.array([[1.0], [d]]))
         *_, t, _ = _fixed_point(0.0, np.sqrt(power), params)
         # t(0) = 0 without emitter losses: 0/0 at x = 0, replaced by the limit.
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):

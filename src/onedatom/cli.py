@@ -16,9 +16,10 @@ naming the flag) and writes them to the manifest's ``options``.  The
 handler imports the compute modules it runs, so a call loads only the
 modules of its own subcommand.
 
-A handler checks what involves more than one option (exclusive pairs,
-``--ideal`` conflicts, drive powers, the initial Bloch state) and parses
-grids, then computes, writing nothing, and returns ``(header, columns,
+A handler checks the exclusive pairs and ``--ideal`` conflicts of its
+options and parses grids; the API functions it calls check the rest, and
+`_api_call` turns their refusal into a usage error naming the options.
+It computes, writing nothing, and returns ``(header, columns,
 manifest)``: the manifest holds its own entries only, such as the options
 it derives, and a ``versions`` entry adds to the artifact, Python and
 numpy versions.  `run` is the one output path: it refuses a column holding
@@ -93,16 +94,13 @@ def _parse_list(spec: str) -> list[float]:
         return []
 
 
-def _check_drive(parser, ns, flag, x, gamma, extinction=1.0):
-    """`model._drive_power` of the value or grid ``x`` of the option
-    ``flag``; a refusal is a usage error naming gamma's flags and ``flag``."""
-    from .model import _drive_power
+def _api_call(parser, flags, call, *args):
+    """``call(*args)``; its refusal (a `DomainError`) is a usage error
+    naming ``flags``, the options that its arguments come from."""
     try:
-        return _drive_power(x, gamma, extinction=extinction)
-    except UnsupportedRegime as exc:
-        system = ("--gamma" if ns.gamma is not None
-                  else "--gamma-over-kappa/--kappa")
-        parser.error(f"{system}/{flag} must give valid drive powers: {exc}")
+        return call(*args)
+    except DomainError as exc:
+        parser.error(f"{flags} must be valid: {exc}")
 
 
 def _json_safe(v):
@@ -129,13 +127,8 @@ def _write_manifest(ns, manifest):
 
 
 def _params_view(params):
-    return {
-        "gamma": params.gamma, "kappa": params.kappa, "delta": params.delta,
-        "gamma_at": params.gamma_at, "gamma_cav": params.gamma_cav,
-        "gamma_star": params.gamma_star, "q_ratio": params.q_ratio,
-        "f": params.f_ratio, "beta": params.beta,
-        "is_bad_cavity": params.is_bad_cavity,
-    }
+    return {**vars(params), "q_ratio": params.q_ratio, "f": params.f_ratio,
+            "beta": params.beta, "is_bad_cavity": params.is_bad_cavity}
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +222,16 @@ def _check_ranges(ns, parser, rows):
 
 
 def _build_params(ns, parser, *, force_ideal=False):
+    """The system parameters of ``ns``, and the flags that set gamma."""
     from .model import make_params
     kappa = ns.kappa
     gamma = ns.gamma if ns.gamma is not None else ns.gamma_over_kappa * kappa
+    flags = "--gamma" if ns.gamma is not None else "--gamma-over-kappa/--kappa"
     if force_ideal:
         for name in ("gamma_at", "gamma_cav", "q_ratio", "f"):
             if getattr(ns, name) is not None:
                 parser.error(f"--ideal conflicts with --{name.replace('_', '-')}")
-        return make_params(gamma, kappa, delta=ns.delta)
+        return make_params(gamma, kappa, delta=ns.delta), flags
     if ns.gamma_cav is not None and ns.q_ratio is not None:
         parser.error("--gamma-cav and --q-ratio are mutually exclusive")
     if ns.gamma_at is not None and ns.f is not None:
@@ -249,7 +244,7 @@ def _build_params(ns, parser, *, force_ideal=False):
     if ns.f is not None:
         gamma_at = 0.0 if math.isinf(ns.f) else q * gamma / ns.f
     return make_params(gamma, kappa, delta=ns.delta, gamma_at=gamma_at,
-                       gamma_cav=gamma_cav, gamma_star=ns.gamma_star)
+                       gamma_cav=gamma_cav, gamma_star=ns.gamma_star), flags
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +252,17 @@ def _build_params(ns, parser, *, force_ideal=False):
 
 def _cmd_spectrum(ns, parser):
     from .linear import _fixed_point, t0_prime
-    from .model import _blockwise, _show
+    from .model import DriveField, _blockwise, _drive_power
     nu = _grid_option(parser, "--grid", ns.grid)
-    params = _build_params(ns, parser)
-    b_in = np.sqrt(_check_drive(parser, ns, "--x", ns.x, params.gamma))
+    params, system = _build_params(ns, parser)
+    b_in = np.sqrt(_api_call(parser, f"{system}/--x", _drive_power,
+                             ns.x, params.gamma))
     with np.errstate(over="ignore", invalid="ignore"):
         dw = nu * params.kappa - params.delta
-    bad = ~np.isfinite(dw)
-    if np.any(bad):
-        parser.error("--grid/--kappa/--delta must give finite detunings "
-                     f"nu*kappa - delta, got {_show(dw, bad)}")
+    drive = _api_call(parser, "--grid/--kappa/--delta", DriveField, dw, b_in)
 
     def block(_, dwb):
-        *_, t, r = _fixed_point(dwb, b_in, params)
+        *_, t, r = _fixed_point(dwb, drive.b_in, params)
         t_empty = -params.q_ratio * t0_prime(dwb, params)
         if ns.evanescent:
             t, r, t_empty = r, t, 1.0 + t_empty
@@ -286,9 +279,9 @@ def _cmd_spectrum(ns, parser):
 def _cmd_saturation(ns, parser):
     from . import nonlinear
     grid = _grid_option(parser, "--x-grid", ns.x_grid)
-    params = _build_params(ns, parser, force_ideal=ns.ideal)
-    _check_drive(parser, ns, "--x-grid", grid, params.gamma)
-    curve = nonlinear.saturation_curve(params, grid)
+    params, system = _build_params(ns, parser, force_ideal=ns.ideal)
+    curve = _api_call(parser, f"{system}/--x-grid",
+                      nonlinear.saturation_curve, params, grid)
     header = ("x", "x_eff", "cap_t", "cap_r", "noise_frac",
               "p_t_over_p_c", "p_r_over_p_c", "caution")
     return header, [getattr(curve, k) for k in header], {
@@ -298,19 +291,19 @@ def _cmd_saturation(ns, parser):
 
 def _cmd_dynamics(ns, parser):
     from . import dynamics, nonlinear
-    from .model import BlochState, DriveField
-    params = _build_params(ns, parser)
+    from .model import BlochState, DriveField, _drive_power
+    params, system = _build_params(ns, parser)
     if ns.x is not None and ns.power is not None:
         parser.error("--x and --power are mutually exclusive")
-    p_in = ns.power if ns.power is not None else float(_check_drive(
-        parser, ns, "--x/--power", ns.x or 0.0, params.gamma))
+    p_in = ns.power if ns.power is not None else float(_api_call(
+        parser, f"{system}/--x/--power", _drive_power,
+        ns.x or 0.0, params.gamma))
     drive = DriveField.from_power(ns.delta_omega, p_in)
     duration = ns.duration if ns.duration is not None else 20.0 / params.gamma
     initial = BlochState(complex(ns.initial_re_s, ns.initial_im_s),
                          ns.initial_s_z)
-    if not initial.is_physical():
-        parser.error("--initial-re-s/--initial-im-s/--initial-s-z must give "
-                     f"|s_z| <= 1/2 and |s|^2 <= 1/4, got {initial}")
+    _api_call(parser, "--initial-re-s/--initial-im-s/--initial-s-z",
+              initial.require_physical)
     results = {}
     settled = None
     try:
@@ -401,12 +394,11 @@ def _cmd_slowlight(ns, parser):
 
 
 def _cmd_bistability(ns, parser):
-    from . import applications
+    from .applications import bistability_scan
     grid = _grid_option(parser, "--x-grid", ns.x_grid)
-    params = _build_params(ns, parser)
-    _check_drive(parser, ns, "--x-grid", grid, params.gamma)
-    scan = applications.bistability_scan(
-        params, _parse_list(ns.fraction_a_list), grid)
+    params, system = _build_params(ns, parser)
+    scan = _api_call(parser, f"{system}/--x-grid", bistability_scan, params,
+                     _parse_list(ns.fraction_a_list), grid)
     header = ("x", "p_e", "p_t", "slope_analytic", "slope_numeric")
     return header, [getattr(scan, k) for k in header], {
         "derived": _params_view(params),
@@ -416,14 +408,11 @@ def _cmd_bistability(ns, parser):
 
 
 def _cmd_reshape(ns, parser):
-    from . import applications
+    from .applications import contrast_enhancement
     grid = _grid_option(parser, "--x-grid", ns.x_grid)
-    params = _build_params(ns, parser)
-    # Both pulses: the high one at x, the low one at x/extinction.
-    _check_drive(parser, ns, "--x-grid", grid, params.gamma)
-    _check_drive(parser, ns, "--x-grid/--extinction", grid, params.gamma,
-                 ns.extinction)
-    res = applications.contrast_enhancement(grid, ns.extinction, params)
+    params, system = _build_params(ns, parser)
+    res = _api_call(parser, f"{system}/--x-grid/--extinction",
+                    contrast_enhancement, grid, ns.extinction, params)
     best = int(np.argmax(res.c_leaky))
     return ("x", "c_ideal", "c_leaky"), (res.x, res.c_ideal, res.c_leaky), {
         "derived": _params_view(params),

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
 Everything that represents a violated physical precondition derives from
-:class:`DomainError`, which the CLI maps to exit code 3.
+:class:`DomainError`: CLI exit code 3, or 2 where it refuses an option.
 """
 
 

@@ -110,6 +110,8 @@ def make_params(gamma, kappa, delta=0.0, gamma_at=0.0, gamma_cav=0.0,
         If ``gamma <= 0`` or ``kappa <= 0``, or a leak rate is negative.
     NonFiniteInput
         On NaN or infinite inputs.
+    UnsupportedRegime
+        If Q/Q0 is subnormal or (Q/Q0) gamma is 0 (1/f would be 0/0).
     """
     for name, value in (("gamma", gamma), ("kappa", kappa), ("delta", delta),
                         ("gamma_at", gamma_at), ("gamma_cav", gamma_cav),
@@ -123,8 +125,14 @@ def make_params(gamma, kappa, delta=0.0, gamma_at=0.0, gamma_cav=0.0,
                         ("gamma_star", gamma_star)):
         if value < 0.0:
             raise NonPositiveRate(f"{name} must be >= 0, got {value}")
-    return SystemParams(float(gamma), float(kappa), float(delta),
-                        float(gamma_at), float(gamma_cav), float(gamma_star))
+    params = SystemParams(float(gamma), float(kappa), float(delta),
+                          float(gamma_at), float(gamma_cav), float(gamma_star))
+    q = params.q_ratio
+    if not (q >= sys.float_info.min and q * params.gamma > 0.0):
+        raise UnsupportedRegime(
+            f"gamma_cav = {gamma_cav!r} and kappa = {kappa!r} give Q/Q0 = "
+            f"{q!r}, subnormal or with (Q/Q0) gamma = 0")
+    return params
 
 
 def params_from_ratios(gamma, kappa, q_ratio=1.0, f=math.inf, delta=0.0) -> SystemParams:

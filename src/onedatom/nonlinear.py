@@ -166,7 +166,7 @@ def saturation_curve(params: SystemParams, x_grid) -> SaturationCurve:
     """Evaluate the resonant scattering on a grid of saturation parameters.
 
     ``x_grid`` must be sorted; each x is the resonant-ideal normalization
-    4 P_in/gamma, refused as the CLI refuses it (`model._drive_power`).
+    4 P_in/gamma, refused by `model._drive_power` (the CLI's check too).
     Points with 0.1 < x_eff < 10 are flagged as semiclassical-caution (the
     factorization is qualitative across the nonlinear jump).  Each block of
     `csvio.BLOCK_ROWS` points is one call of the kernel `_fixed_point`

@@ -92,6 +92,17 @@ def test_bistability_slope_below_the_difference_step():
     assert_allclose(scan.slope_numeric, scan.slope_analytic, rtol=1e-6, atol=0)
 
 
+def test_bistability_slope_with_subnormal_transmitted_power():
+    # At gamma = 1e-300 every drive power is normal but P_t = P_e |t|^2 is
+    # subnormal: the difference of two such P_t kept a few bits (7.5e-4
+    # relative error here; slope_numeric 0 at x = 1e-7 on the ideal device).
+    scan = bistability_scan(params_from_ratios(1e-300, 1.0, q_ratio=0.9,
+                                               f=1e4),
+                            0.5, np.logspace(-7, -5, 201))
+    assert scan.p_t[0] < 2.2250738585072014e-308
+    assert_allclose(scan.slope_numeric, scan.slope_analytic, rtol=1e-6, atol=0)
+
+
 def test_bistability_preconditions():
     with pytest.raises(NonPositiveRate):
         bistability_scan(IDEAL, 1.0, [1.0, 2.0])
@@ -248,7 +259,7 @@ def test_reshape_limit_follows_the_zero_drive_amplitude():
 
 
 def test_reshape_preconditions():
-    with pytest.raises(NonPositiveRate):
+    with pytest.raises(UnsupportedRegime):
         contrast_enhancement(-1.0, 4.0, IDEAL)
     with pytest.raises(NonPositiveRate):
         contrast_enhancement(1.0, 1.0, IDEAL)
@@ -331,5 +342,16 @@ def test_reshape_array_matches_scalar_calls_bit_for_bit():
             assert type(one.c_leaky) is float
             assert (one.x, one.c_ideal, one.c_leaky) == (
                 grid.x[i], grid.c_ideal[i], grid.c_leaky[i])
-    with pytest.raises(NonPositiveRate):
+    with pytest.raises(UnsupportedRegime):
         contrast_enhancement(np.array([1.0, -1.0]), 4.0, IDEAL)
+
+
+def test_reshape_scalar_ratio_is_squared_as_the_array_entry():
+    # The scalar call squared its ratio with numpy's scalar power, 1 ulp
+    # from the array call's square: c_leaky 0.0011850740845330975 against
+    # ...977 (a dephased device, where the ratio is exactly 1/sqrt(d)).
+    params = make_params(0.002, 1.0, gamma_star=0.0625)
+    x, d = 1.6308730272706149e-273, 843.8291015316447
+    one = contrast_enhancement(x, d, params)
+    grid = contrast_enhancement(np.array([0.0, x]), d, params)
+    assert (one.c_ideal, one.c_leaky) == (grid.c_ideal[1], grid.c_leaky[1])

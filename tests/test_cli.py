@@ -592,6 +592,16 @@ def test_float_format_17_digits(tmp_path):
      "--gamma-over-kappa/--kappa/--x-grid/--extinction"),
     (["dynamics", "--x", "nan"], "--x"),
     (["dynamics", "--power", "inf"], "--power"),
+    # Only the difference point x + h overflows (was exit 3, no flag named).
+    (["bistability", "--gamma", "7.190701351505882e+307",
+      "--x-grid", "log:0:1:2"], "--gamma/--x-grid"),
+    # Descending or non-positive grids (were exit 3 naming x_grid).
+    (["saturation", "--x-grid", "log:4:-3:5"],
+     "--gamma-over-kappa/--kappa/--x-grid"),
+    (["bistability", "--x-grid", "log:4:-3:5"],
+     "--gamma-over-kappa/--kappa/--x-grid"),
+    (["bistability", "--x-grid", "0:1:3"],
+     "--gamma-over-kappa/--kappa/--x-grid"),
 ])
 def test_non_finite_grids_and_drives_are_usage_errors(tmp_path, capsys,
                                                       argv, flag):
@@ -600,6 +610,19 @@ def test_non_finite_grids_and_drives_are_usage_errors(tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"error: {flag}" in err or f"{flag} must" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command",
+                         ["spectrum", "saturation", "bistability", "reshape"])
+def test_cavity_leak_that_underflows_q_ratio_is_refused(tmp_path, capsys,
+                                                        command):
+    # Q/Q0 = 0 made the manifest's f a ZeroDivisionError (exit 1).
+    out = tmp_path / "o.csv"
+    assert run([command, "--gamma-cav", "1e308", "--kappa", "1e-10",
+                "--out", str(out)]) in (2, 3)
+    err = capsys.readouterr().err
+    assert "gamma_cav" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_overflowing_detuning_grid_is_a_usage_error(tmp_path, capsys):

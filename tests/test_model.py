@@ -4,11 +4,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from onedatom import (BlochState, DriveField, NonFiniteInput, NonPositiveRate,
-                      UnsupportedRegime, bistability_scan, cli,
+from onedatom import (BlochState, DomainError, DriveField, NonFiniteInput,
+                      NonPositiveRate, UnsupportedRegime, bistability_scan, cli,
                       contrast_enhancement, make_params,
                       outcome_from_amplitudes, params_from_ratios,
                       saturation_curve)
@@ -146,6 +146,15 @@ def test_sweeps_refuse_drives_outside_the_normal_range(call, got):
         call()
 
 
+@pytest.mark.parametrize("gamma, kappa, gamma_cav", [
+    # Q/Q0 underflows to 0; (Q/Q0) gamma underflows to 0 with Q/Q0 normal.
+    (1.0, 1e-10, 1e308), (1e-100, 1e-10, 2e290)])
+def test_devices_without_a_finite_inv_f_are_refused(gamma, kappa, gamma_cav):
+    # f_ratio raised ZeroDivisionError (0/0 in inv_f).
+    with pytest.raises(DomainError, match="gamma_cav = .* and kappa = "):
+        make_params(gamma, kappa, gamma_cav=gamma_cav).f_ratio
+
+
 def _refusal(call):
     """The message of the `UnsupportedRegime` that ``call()`` raises, or
     None."""
@@ -162,6 +171,9 @@ def _refusal(call):
        ends=st.lists(st.integers(-323, 308), min_size=2, max_size=2,
                      unique=True).map(sorted),
        n=st.integers(2, 6), log_extinction=st.floats(0.01, 300.0))
+# Only the difference point x + h of x = 10 overflows (exit 3 before, with
+# no flag named): a window of 1e-5 in gamma that the search rarely hits.
+@example(log_gamma=307.8567712517506, ends=[0, 1], n=2, log_extinction=1.0)
 def test_api_and_cli_refuse_exactly_where_the_drive_power_rule_does(
         tmp_path, log_gamma, ends, n, log_extinction):
     gamma, extinction = 10.0 ** log_gamma, 10.0 ** log_extinction
