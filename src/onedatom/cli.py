@@ -9,12 +9,13 @@ stderr.  Every option can also be supplied through ``--config file.json``
 (keys mirror the flag names); explicit flags win over the config file.
 
 Each subcommand is one entry of ``_COMMANDS``: its help line, its option
-rows and its handler.  A call uses the rows of the subcommand it names
-only: `build_parser` makes their argparse options, and `run` fills them
-from --config and the defaults, refuses a value out of range (exit 2,
-naming the flag) and writes them to the manifest's ``options``.  The
-handler imports the compute modules it runs, so a call loads only the
-modules of its own subcommand.
+rows and its handler.  A call builds the parser of the subcommand it
+names only (all eight for --help or a missing or unknown command) and
+uses that subcommand's rows only: `build_parser` makes their argparse
+options, and `run` fills them from --config and the defaults, refuses a
+value out of range (exit 2, naming the flag) and writes them to the
+manifest's ``options``.  The handler imports the compute modules it runs,
+so a call loads only the modules of its own subcommand.
 
 A handler checks the exclusive pairs and ``--ideal`` conflicts of its
 options and parses grids; the API functions it calls check the rest, and
@@ -24,7 +25,8 @@ manifest)``: the manifest holds its own entries only, such as the options
 it derives, and a ``versions`` entry adds to the artifact, Python and
 numpy versions.  `run` is the one output path: it refuses a column holding
 NaN (exit 3), writes the CSV, then adds ``command``, ``rows`` and
-``versions`` to the manifest and writes it.
+``versions`` to the manifest and writes it.  An output that cannot be
+opened is a usage error naming --out or --manifest, and leaves no file.
 
 Rates are in the caller's angular-frequency unit with kappa defaulting
 to 1, so detunings and rates passed on the command line are effectively in
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -94,11 +97,11 @@ def _parse_list(spec: str) -> list[float]:
         return []
 
 
-def _api_call(parser, flags, call, *args):
-    """``call(*args)``; its refusal (a `DomainError`) is a usage error
-    naming ``flags``, the options that its arguments come from."""
+def _api_call(parser, flags, call, *args, **kwargs):
+    """``call(*args, **kwargs)``; its refusal (a `DomainError`) is a usage
+    error naming ``flags``, the options that its arguments come from."""
     try:
-        return call(*args)
+        return call(*args, **kwargs)
     except DomainError as exc:
         parser.error(f"{flags} must be valid: {exc}")
 
@@ -113,17 +116,25 @@ def _json_safe(v):
     return v
 
 
-def _write_manifest(ns, manifest):
+def _write_manifest(ns, parser, manifest):
+    """Write ``manifest`` to its path, or to stderr when the CSV went to
+    stdout.  A path that cannot be written is a usage error naming the flag
+    that set it, and the CSV file written before it is removed."""
     manifest = _json_safe(manifest)
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    path = ns.manifest
+    path, flag = ns.manifest, "--manifest"
     if path is None and ns.out not in (None, "-"):
-        path = ns.out + ".manifest.json"
+        path, flag = ns.out + ".manifest.json", "--out"
     if path is None:
         sys.stderr.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        if ns.out not in (None, "-"):
+            os.remove(ns.out)
+        parser.error(f"{flag} must be a writable file path: {exc}")
 
 
 def _params_view(params):
@@ -222,16 +233,22 @@ def _check_ranges(ns, parser, rows):
 
 
 def _build_params(ns, parser, *, force_ideal=False):
-    """The system parameters of ``ns``, and the flags that set gamma."""
+    """The system parameters of ``ns``, and the flags that set gamma.  A
+    refused rate is a usage error naming gamma's flags, --kappa and the
+    leak flags that are set."""
     from .model import make_params
     kappa = ns.kappa
     gamma = ns.gamma if ns.gamma is not None else ns.gamma_over_kappa * kappa
     flags = "--gamma" if ns.gamma is not None else "--gamma-over-kappa/--kappa"
+    leaks = [f"--{name.replace('_', '-')}"
+             for name in ("gamma_at", "gamma_cav", "q_ratio", "f")
+             if getattr(ns, name) is not None]
+    rates = "/".join([flags.split("/")[0], "--kappa", *leaks])
     if force_ideal:
-        for name in ("gamma_at", "gamma_cav", "q_ratio", "f"):
-            if getattr(ns, name) is not None:
-                parser.error(f"--ideal conflicts with --{name.replace('_', '-')}")
-        return make_params(gamma, kappa, delta=ns.delta), flags
+        if leaks:
+            parser.error(f"--ideal conflicts with {leaks[0]}")
+        return _api_call(parser, rates, make_params, gamma, kappa,
+                         delta=ns.delta), flags
     if ns.gamma_cav is not None and ns.q_ratio is not None:
         parser.error("--gamma-cav and --q-ratio are mutually exclusive")
     if ns.gamma_at is not None and ns.f is not None:
@@ -243,8 +260,9 @@ def _build_params(ns, parser, *, force_ideal=False):
     gamma_at = ns.gamma_at or 0.0
     if ns.f is not None:
         gamma_at = 0.0 if math.isinf(ns.f) else q * gamma / ns.f
-    return make_params(gamma, kappa, delta=ns.delta, gamma_at=gamma_at,
-                       gamma_cav=gamma_cav, gamma_star=ns.gamma_star), flags
+    return _api_call(parser, rates, make_params, gamma, kappa, delta=ns.delta,
+                     gamma_at=gamma_at, gamma_cav=gamma_cav,
+                     gamma_star=ns.gamma_star), flags
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +397,8 @@ def _cmd_slowlight(ns, parser):
     header = ("f", "beta", "delay_analytic", "delay_numeric",
               "t_per_stage", "n_half", "total_delay_at_n_half")
     results = [applications.slow_light(
-                   params_from_ratios(gamma, ns.kappa, f=f),
+                   _api_call(parser, "--gamma-over-kappa/--kappa/--f-list",
+                             params_from_ratios, gamma, ns.kappa, f=f),
                    n_stages=ns.n_stages)
                for f in _parse_list(ns.f_list)]
     band = 0.02         # the numeric delay confirms 2 beta/gamma within 2%
@@ -565,17 +584,25 @@ _NEGATIVE_VALUE = re.compile(r"^-\d[\d.:eE,+-]*$")
 
 
 def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for the arguments ``argv``: all eight subcommands are
-    registered, but only the first one named in ``argv`` gets its options,
-    one per row of its table entry."""
+    """The parser for the arguments ``argv``.  When ``argv`` starts with a
+    subcommand, only that subcommand's parser is built; otherwise (--help,
+    a missing or an unknown command) all eight are.  Only the first
+    subcommand named in ``argv`` gets its options, one per row of its table
+    entry."""
     parser = argparse.ArgumentParser(
         prog="onedatom",
         description="One-dimensional-atom spectra, saturation curves, "
                     "dynamics, pillar design and application calculators.")
     parser._negative_number_matcher = _NEGATIVE_VALUE
-    subs = parser.add_subparsers(dest="command", required=True)
     named = next((arg for arg in argv if arg in _COMMANDS), None)
-    for name, (help_text, rows, _) in _COMMANDS.items():
+    alone = bool(argv) and argv[0] == named
+    # The metavar keeps all eight names in the usage line of a lone parser.
+    # It is set for a lone parser only: argparse would also put it in place
+    # of "command" in the errors for a missing or an unknown command.
+    subs = parser.add_subparsers(dest="command", required=True, **(
+        {"metavar": "{" + ",".join(_COMMANDS) + "}"} if alone else {}))
+    for name in [named] if alone else _COMMANDS:
+        help_text, rows, _ = _COMMANDS[name]
         sp = subs.add_parser(name, help=help_text)
         sp._negative_number_matcher = _NEGATIVE_VALUE
         if name != named:
@@ -604,15 +631,18 @@ def run(argv=None) -> int:
             if np.isnan(column).any():
                 raise DomainError(f"{ns.command}: column {name} holds NaN; "
                                   "no output written")
-        with open_out(ns.out) as fh:
-            rows_written = write_csv(fh, header, columns)
+        try:
+            with open_out(ns.out) as fh:
+                rows_written = write_csv(fh, header, columns)
+        except OSError as exc:
+            parser.error(f"--out must be a writable file path: {exc}")
         manifest["options"] = {
             **{key: getattr(ns, _dest(flag)) for flag, *_, key in rows if key},
             **manifest.get("options", {})}
         manifest.update(command=ns.command, rows=rows_written, versions={
             "artifact": __version__, "python": sys.version.split()[0],
             "numpy": np.__version__, **manifest.get("versions", {})})
-        _write_manifest(ns, manifest)
+        _write_manifest(ns, parser, manifest)
         return 0
     except SystemExit as exc:          # usage errors, --help
         return int(exc.code or 0)
