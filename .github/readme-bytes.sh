@@ -14,7 +14,9 @@
 #     state's repr.
 # Every CSV and settled.txt must have the same bytes under both trees, and
 # both trees must write the same files.  A change may add entries to a
-# manifest, so manifests are compared only as a listing.  Needs python with
+# manifest, so each manifest is loaded as JSON on both trees instead: every
+# entry under `results` and `diagnostics` of the base's, at any depth, must
+# be equal at the head, and entries the head adds pass.  Needs python with
 # numpy; exits 1 naming each difference.
 set -eu
 
@@ -96,9 +98,45 @@ if ! diff <(cd out-base && find . | sort) <(cd out-head && find . | sort); then
   echo "::error::the README commands, dense sweeps or ode_oracle operations write other files than at the base commit"
   status=1
 fi
+manifests=$(cd out-base && find . -name '*.json' | wc -l)
+if ! python - out-base out-head <<'EOF'
+import json, pathlib, sys
+
+base, head = (pathlib.Path(p) for p in sys.argv[1:])
+
+
+def differences(b, h, where):
+    """Where the head's value h lacks or changes the base's value b."""
+    if isinstance(b, dict) and isinstance(h, dict):
+        for key, value in b.items():
+            if key in h:
+                yield from differences(value, h[key], f"{where}.{key}")
+            else:
+                yield f"{where}.{key}"
+    elif b != h:
+        yield where
+
+
+status = 0
+for path in sorted(base.rglob("*.json")):
+    name = path.relative_to(base)
+    if not (head / name).exists():
+        continue        # the listing above names it
+    b, h = (json.loads(p.read_text(encoding="utf-8"))
+            for p in (path, head / name))
+    for section in ("results", "diagnostics"):
+        for where in differences(b.get(section, {}), h.get(section, {}),
+                                 section):
+            print(f"::error::{name}: {where} differs from the base commit's")
+            status = 1
+sys.exit(status)
+EOF
+then
+  status=1
+fi
 if [ $status -eq 0 ]; then
-  echo "pass, $compared files compared"
+  echo "pass, $compared files and $manifests manifests compared"
 else
-  echo "fail, $compared files compared"
+  echo "fail, $compared files and $manifests manifests compared"
 fi
 exit $status

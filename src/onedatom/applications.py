@@ -44,6 +44,10 @@ def slow_light(params: SystemParams, n_stages=1) -> SlowLightResult:
     number of stages that halves the power.  The numeric delay
     differentiates the unwrapped phase of the full transmission (central
     difference, step gamma/1000), independently of the analytic formula.
+
+    Raises `UnsupportedRegime` where f underflows to 0, the analytic delay
+    or (for a finite f) N_1/2 is not a positive float, or the numeric delay
+    is not finite.  The delay over N_1/2 stages may overflow to inf.
     """
     if params.q_ratio != 1.0:
         raise UnsupportedRegime("slow_light assumes Q = Q0 (gamma_cav = 0)")
@@ -53,16 +57,23 @@ def slow_light(params: SystemParams, n_stages=1) -> SlowLightResult:
         raise NonPositiveRate(f"n_stages must be >= 1, got {n_stages}")
     beta = params.beta
     f = params.f_ratio
-    delay = 2.0 * beta / params.gamma
+    if not params.f_is_infinite:
+        _in_float_range("f", f)
+    delay = _in_float_range("delay_analytic", 2.0 * beta / params.gamma)
     h = params.gamma / 1e3
     t = transmission_leaky(np.array([-h, h]), params, evanescent=True).t
     ph = np.unwrap(np.angle(t))
-    # Group delay d(arg t)/d omega with delta_omega = omega_0 - omega.
-    delay_numeric = -(ph[1] - ph[0]) / (2.0 * h)
+    # Group delay d(arg t)/d omega with delta_omega = omega_0 - omega; a
+    # step h that underflows or a slope that overflows is refused below.
+    with np.errstate(all="ignore"):
+        delay_numeric = -(ph[1] - ph[0]) / (2.0 * h)
+    if not math.isfinite(delay_numeric):
+        raise UnsupportedRegime(
+            f"delay_numeric = {delay_numeric} is outside the float range")
 
     t_stage = beta * beta
-    n_half = (math.inf if params.f_is_infinite
-              else 0.5 * math.log(2.0) / math.log1p(1.0 / f))
+    n_half = (math.inf if params.f_is_infinite else _in_float_range(
+        "n_half", 0.5 * math.log(2.0) / math.log1p(1.0 / f)))
     return SlowLightResult(
         f=f, beta=beta, delay_analytic=delay, delay_numeric=delay_numeric,
         t_per_stage=t_stage, n_half=n_half, total_delay_at_n_half=n_half * delay,

@@ -396,11 +396,13 @@ def _cmd_slowlight(ns, parser):
     gamma = ns.gamma_over_kappa * ns.kappa
     header = ("f", "beta", "delay_analytic", "delay_numeric",
               "t_per_stage", "n_half", "total_delay_at_n_half")
-    results = [applications.slow_light(
-                   _api_call(parser, "--gamma-over-kappa/--kappa/--f-list",
-                             params_from_ratios, gamma, ns.kappa, f=f),
-                   n_stages=ns.n_stages)
-               for f in _parse_list(ns.f_list)]
+
+    def chain(f):
+        return applications.slow_light(
+            params_from_ratios(gamma, ns.kappa, f=f), n_stages=ns.n_stages)
+
+    results = [_api_call(parser, "--gamma-over-kappa/--kappa/--f-list",
+                         chain, f) for f in _parse_list(ns.f_list)]
     band = 0.02         # the numeric delay confirms 2 beta/gamma within 2%
     outside = [r.f for r in results
                if not abs(r.delay_numeric / r.delay_analytic - 1.0) <= band]

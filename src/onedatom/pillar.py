@@ -7,13 +7,16 @@ is a power law |E(d)|^2 = (c_E/d)^2 calibrated so that a Q0 = 1000 pillar
 with eps = 0.007 and d = 2.4 um has Q = 960; tabulated profiles can be
 supplied instead.
 
-Every figure of merit comes from one array evaluation over a set of
-diameters, in blocks of `csvio.BLOCK_ROWS`: a diameter scan is one call,
-each refinement scan of the optimizer is one call, and a single design
-(:func:`figures_of_merit`) is the same call on a scalar diameter, a
-one-element block, so all give the same bits.  The resonant T_min and
-T_max are the steady-state kernel's transmission at zero drive and its
-empty-cavity limit.
+The figures of merit come from two stages of array expressions over a
+block of diameters, one expression per quantity: the kernel-free design
+columns (Q, V, F_p, f, Q/Q0, eta and beta^2), and the cavity-response
+columns (T_max, T_min and the contrast), the steady-state kernel's resonant
+transmission in its empty-cavity limit and at zero drive.  A diameter scan
+runs both stages in one call, in blocks of `csvio.BLOCK_ROWS`, and a single
+design (:func:`figures_of_merit`) is the same call on a scalar diameter, a
+one-element block, so both give the same bits.  Each refinement scan of the
+optimizer evaluates only its objective's column, one call of the design
+stage (and of the response stage for the contrast) per block.
 """
 
 from __future__ import annotations
@@ -141,13 +144,16 @@ class FiguresOfMerit(ColumnRecord):
 DiameterSweep = FiguresOfMerit
 
 
-def _sweep(design: PillarDesign, d,
-           field_model: FieldProfileModel) -> FiguresOfMerit:
-    """Figures of merit at the diameter ``d``, a float, or at each of the
-    diameters of the 1-d array ``d`` (finite and > 0); ``design`` supplies
-    every other parameter.  A float gives Python floats, an array columns
-    filled a block of `csvio.BLOCK_ROWS` diameters at a time
-    (`model._blockwise`).
+#: The cavity-response columns of :class:`FiguresOfMerit`; the others
+#: but d are the design stage's.
+_RESPONSE_COLUMNS = ("t_max", "t_min", "contrast")
+
+
+def _stages(design: PillarDesign, d, field_model: FieldProfileModel,
+            response: bool):
+    """The design-stage columns q, v, fp, f, q_ratio, eta and beta_sq at
+    the diameters of the 1-d array ``d``, and the response-stage columns
+    t_max, t_min and contrast too if ``response``, by name.
 
     f follows from the Purcell factor through
     f = F_p / (loss_ratio + 2 gamma_star_ratio).  T_min is |t|^2 of the
@@ -155,42 +161,73 @@ def _sweep(design: PillarDesign, d,
     limit -(Q/Q0) t0'(0), for the rates that params_from_ratios(1, 500,
     Q/Q0, f) gives: Q/Q0 and 1/f make its round trip through gamma_cav and
     gamma_at, and the resonant values depend on (Q/Q0, f) only.
+
+    The block is refused at its first diameter where eta, or with the
+    response stage contrast + eta, is not finite.  fp, eta and beta_sq are
+    finite where eta is, and every column is finite where contrast + eta
+    is.
     """
     lam_n = design.lambda_0 / design.n_index
-
-    def block(_, d):
-        # Overflow and 0/0 show up as a non-finite contrast or eta, checked
-        # below.
-        with np.errstate(all="ignore"):
-            # 1/Q = 1/Q0 + 2 |E(d)|^2 eps / d
-            q = 1.0 / (1.0 / design.q0 + 2.0 * field_model.field_sq(d)
-                       * design.epsilon / d)
-            # V = (lambda/n) pi d^2 / 8, F_p = (3 Q / (4 pi^2 V)) (lambda/n)^3
-            v = lam_n * math.pi * np.float_power(d, 2) / 8.0
-            fp = 3.0 * q * np.float_power(lam_n, 3) / (4.0 * math.pi ** 2 * v)
-            f = fp / (design.loss_ratio + 2.0 * design.gamma_star_ratio)
-            # Q <= Q0; the clip only removes the last-bit excess 1/(1/Q0)
-            # can carry.
-            q_ratio = np.minimum(q / design.q0, 1.0)
+    # Overflow and 0/0 show up as a non-finite eta or contrast, checked
+    # below.
+    with np.errstate(all="ignore"):
+        # 1/Q = 1/Q0 + 2 |E(d)|^2 eps / d
+        q = 1.0 / (1.0 / design.q0 + 2.0 * field_model.field_sq(d)
+                   * design.epsilon / d)
+        # V = (lambda/n) pi d^2 / 8, F_p = (3 Q / (4 pi^2 V)) (lambda/n)^3
+        v = lam_n * math.pi * np.float_power(d, 2) / 8.0
+        fp = 3.0 * q * np.float_power(lam_n, 3) / (4.0 * math.pi ** 2 * v)
+        f = fp / (design.loss_ratio + 2.0 * design.gamma_star_ratio)
+        # Q <= Q0; the clip only removes the last-bit excess 1/(1/Q0) can
+        # carry.
+        q_ratio = np.minimum(q / design.q0, 1.0)
+        beta = f / (1.0 + f)
+        columns = {"q": q, "v": v, "fp": fp, "f": f, "q_ratio": q_ratio,
+                   "eta": beta * q_ratio, "beta_sq": beta * beta}
+        check = columns["eta"]
+        if response:
             params = SystemParams(1.0, 500.0, gamma_at=q_ratio / f,
                                   gamma_cav=1000.0 * (1.0 / q_ratio - 1.0))
             t_max = np.abs(params.q_ratio * t0_prime(0.0, params)) ** 2
             # T_min <= T_max; the clip only removes a last-bit excess.
             t_min = np.minimum(np.abs(_fixed_point(0.0, 0.0, params)[4]) ** 2,
                                t_max)
-            beta = f / (1.0 + f)
-            contrast = t_max - t_min
-            eta = beta * q_ratio
-        # Every other column is finite where these two are.
-        finite = np.isfinite(contrast + eta)
-        if not finite.all():
-            raise UnsupportedRegime(
-                "figures of merit leave the float range at "
-                f"d={float(d[np.argmin(finite)])!r}")
-        return (d, q, v, fp, f, q_ratio, t_max, t_min, contrast, eta,
-                beta * beta)
+            columns.update(t_max=t_max, t_min=t_min, contrast=t_max - t_min)
+            check = columns["contrast"] + check
+    finite = np.isfinite(check)
+    if not finite.all():
+        raise UnsupportedRegime(
+            "figures of merit leave the float range at "
+            f"d={float(d[np.argmin(finite)])!r}")
+    return columns
+
+
+def _sweep(design: PillarDesign, d,
+           field_model: FieldProfileModel) -> FiguresOfMerit:
+    """Figures of merit at the diameter ``d``, a float, or at each of the
+    diameters of the 1-d array ``d`` (finite and > 0); ``design`` supplies
+    every other parameter.  A float gives Python floats, an array columns
+    filled a block of `csvio.BLOCK_ROWS` diameters at a time
+    (`model._blockwise`), each block through both stages.
+    """
+    def block(_, d):
+        columns = _stages(design, d, field_model, response=True)
+        columns["d"] = d
+        return [columns[f.name] for f in fields(FiguresOfMerit)]
 
     return FiguresOfMerit(*_blockwise((d,), (float,) * 11, block))
+
+
+def _objective_scan(design: PillarDesign, d,
+                    field_model: FieldProfileModel, key: str):
+    """Column ``key`` of ``_sweep(design, d, field_model)`` for the 1-d
+    array ``d``, with its bits: each block runs the design stage, and the
+    response stage only for a response column, and assembles that column
+    alone.  A block is refused as `_stages` refuses it.
+    """
+    response = key in _RESPONSE_COLUMNS
+    return _blockwise((d,), (float,), lambda _, d: (
+        _stages(design, d, field_model, response)[key],))[0]
 
 
 def figures_of_merit(design: PillarDesign,
@@ -259,16 +296,18 @@ def optimize_diameter(q0, objective="contrast", d_range=(0.5, 8.0),
                       field_model=None, grid_step=0.02, **design_kwargs) -> OptimizeResult:
     """Maximize one figure of merit over the pillar diameter.
 
-    Coarse grid scan (step <= 0.05 um, at most MAX_GRID_CELLS steps, one
-    array call), then refinement scans: each re-grids the bracket between
-    the neighbours of the best point (clamped at the scan's ends) with
-    _REFINE_POINTS points in one array call, until the bracket is at most
-    1e-7 um wide.  ``merit`` is the best row of the last scan, unless the
-    best row of the coarse scan is better (a feature narrower than a
-    refinement step, which the refinement scans miss).  A maximum on
-    the range boundary is reported through ``at_boundary`` (objective
-    monotone over the range), not raised; so is a contrast no larger than
-    4 eps max(T_max), the rounding of T_max - T_min, at the first point.
+    Coarse grid scan of every figure of merit (step <= 0.05 um, at most
+    MAX_GRID_CELLS steps, one array call), then refinement scans of the
+    objective alone: each re-grids the bracket between the neighbours of
+    the best point (clamped at the scan's ends) with _REFINE_POINTS points
+    in one array call, until the bracket is at most 1e-7 um wide.
+    ``merit`` is the single-design result at the best point of the last
+    scan, unless the best row of the coarse scan is better (a feature
+    narrower than a refinement step, which the refinement scans miss).
+    A maximum on the range boundary is reported through ``at_boundary``
+    (objective monotone over the range), not raised; so is a contrast no
+    larger than 4 eps max(T_max), the rounding of T_max - T_min, at the
+    first point.
     """
     if objective not in _OBJECTIVE_COLUMN:
         raise NonPositiveRate(
@@ -301,18 +340,20 @@ def optimize_diameter(q0, objective="contrast", d_range=(0.5, 8.0),
             and values[i] <= 4.0 * np.finfo(float).eps * np.max(sweep.t_max)):
         i = 0
     at_boundary = i in (0, n - 1)
-    coarse = i
-    scan, scans = sweep, 0
+    scans = 0
     if not at_boundary:
         a, b = grid[i - 1], grid[i + 1]
         while b - a > 1e-7:
-            scan = _sweep(design, np.linspace(a, b, _REFINE_POINTS), fm)
-            i = int(np.argmax(getattr(scan, key)))
-            a, b = scan.d[max(i - 1, 0)], scan.d[min(i + 1, _REFINE_POINTS - 1)]
+            scan_d = np.linspace(a, b, _REFINE_POINTS)
+            scan = _objective_scan(design, scan_d, fm, key)
+            j = int(np.argmax(scan))
+            a = scan_d[max(j - 1, 0)]
+            b = scan_d[min(j + 1, _REFINE_POINTS - 1)]
             scans += 1
-    merit = scan[i]
-    if getattr(merit, key) < values[coarse]:
-        merit = sweep[coarse]
+    if scans and not scan[j] < values[i]:
+        merit = _sweep(design, float(scan_d[j]), fm)
+    else:
+        merit = sweep[i]
     return OptimizeResult(d_opt=merit.d, value=getattr(merit, key),
                           objective=objective, merit=merit, sweep=sweep,
                           at_boundary=at_boundary, grid_points=n,

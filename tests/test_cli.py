@@ -1067,6 +1067,25 @@ def test_library_range_errors_name_the_flag(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    # f underflows to 0: ZeroDivisionError in N_1/2.
+    ["--f-list", "1e-320", "--gamma-over-kappa", "1e-320"],
+    # 2 beta/gamma overflows: inf delays written with exit 0.
+    ["--f-list", "5", "--gamma-over-kappa", "1e-320"],
+    # The numeric delay's step gamma/1000 underflows: a NaN column.
+    ["--kappa", "1e-320"]])
+def test_slowlight_outside_the_float_range_names_the_flags(tmp_path, capsys,
+                                                           argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no numpy warning either
+        assert run(["slowlight", *argv,
+                    "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "error: --gamma-over-kappa/--kappa/--f-list must be valid" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_each_option_is_declared_by_one_table_row():
     tree = ast.parse(pathlib.Path(cli.__file__).read_text())
     calls = {node for node in ast.walk(tree) if isinstance(node, ast.Call)

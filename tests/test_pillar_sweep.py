@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from onedatom import (DiameterSweep, FieldProfileModel, FiguresOfMerit,
-                      NonFiniteInput, NonPositiveRate, PillarDesign,
-                      default_field_model, figures_of_merit,
+from onedatom import (DiameterSweep, DomainError, FieldProfileModel,
+                      FiguresOfMerit, NonFiniteInput, NonPositiveRate,
+                      PillarDesign, default_field_model, figures_of_merit,
                       optimize_diameter, params_from_ratios,
                       resonance_extrema, sweep_diameter)
 from onedatom.linear import _fixed_point
-from onedatom.pillar import _OBJECTIVE_COLUMN, OBJECTIVES
+from onedatom.pillar import (_OBJECTIVE_COLUMN, _REFINE_POINTS, OBJECTIVES,
+                             _sweep)
 
 FIELD_MODELS = {
     "power_law": default_field_model(),
@@ -160,6 +161,15 @@ def test_refinement_scans_reach_the_golden_section_optimum(q0, objective,
     assert res.value >= golden - 1e-12 * abs(golden)
 
 
+def one_ulp_dip_model():
+    """A field model whose |E(d)|^2 dips from 0.5 to 0 over one ulp at
+    d = 2.2, node 60 of the coarse scan of d_range (1, 3)."""
+    dip = np.linspace(1.0, 3.0, 101)[60]
+    return FieldProfileModel(kind="tabulated", table=[
+        (0.5, 0.5), (np.nextafter(dip, 0.0), 0.5), (dip, 0.0),
+        (np.nextafter(dip, 8.0), 0.5), (8.0, 0.5)])
+
+
 def test_refinement_clamps_a_maximum_on_a_scan_edge():
     # |E(d)|^2 dips to 0 over one ulp at d = 2.2, a node of the coarse scan
     # but of no refinement scan: the first refinement scan sees only the
@@ -171,9 +181,7 @@ def test_refinement_clamps_a_maximum_on_a_scan_edge():
     grid = np.linspace(1.0, 3.0, 101)
     dip = grid[60]
     assert dip not in np.linspace(grid[59], grid[61], 65)
-    fm = FieldProfileModel(kind="tabulated", table=[
-        (0.5, 0.5), (np.nextafter(dip, 0.0), 0.5), (dip, 0.0),
-        (np.nextafter(dip, 8.0), 0.5), (8.0, 0.5)])
+    fm = one_ulp_dip_model()
     res = optimize_diameter(1000.0, "purcell", d_range=(1.0, 3.0),
                             field_model=fm)
     assert res.grid_points == 101 and not res.at_boundary
@@ -183,6 +191,76 @@ def test_refinement_clamps_a_maximum_on_a_scan_edge():
 
 
 extreme_ratio = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+def reference_optimizer(q0, objective, d_range, field_model, **design_kwargs):
+    """(d_opt, value, merit, at_boundary, refine_scans) of the optimizer
+    with every refinement scan a full `_sweep` and ``merit`` the best row
+    of the last scan: the loop whose results the objective-only scans must
+    keep bit for bit.  Same default grid step.
+    """
+    key = _OBJECTIVE_COLUMN[objective]
+    lo, hi = d_range
+    n = max(2, int(math.ceil((hi - lo) / 0.02)) + 1)
+    grid = np.linspace(lo, hi, n)
+    design = PillarDesign(q0=q0, d=lo, **design_kwargs)
+    sweep = _sweep(design, grid, field_model)
+    values = getattr(sweep, key)
+    i = int(np.argmax(values))
+    if (key == "contrast"
+            and values[i] <= 4.0 * np.finfo(float).eps * np.max(sweep.t_max)):
+        i = 0
+    at_boundary = i in (0, n - 1)
+    coarse = i
+    scan, scans = sweep, 0
+    if not at_boundary:
+        a, b = grid[i - 1], grid[i + 1]
+        while b - a > 1e-7:
+            scan = _sweep(design, np.linspace(a, b, _REFINE_POINTS),
+                          field_model)
+            i = int(np.argmax(getattr(scan, key)))
+            a = scan.d[max(i - 1, 0)]
+            b = scan.d[min(i + 1, _REFINE_POINTS - 1)]
+            scans += 1
+    merit = scan[i]
+    if getattr(merit, key) < values[coarse]:
+        merit = sweep[coarse]
+    return merit.d, getattr(merit, key), merit, at_boundary, scans
+
+
+def bits(value):
+    """The bytes of a float, or of each field of a FiguresOfMerit row."""
+    if isinstance(value, FiguresOfMerit):
+        return [bits(getattr(value, name)) for name in COLUMNS]
+    return np.float64(value).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(q0=st.floats(0.0, 12.0).map(lambda e: 10.0 ** e),
+       objective=st.sampled_from(OBJECTIVES),
+       model=st.sampled_from(sorted(FIELD_MODELS) + ["one_ulp_dip"]),
+       kwargs=st.fixed_dictionaries({
+           "epsilon": st.floats(0.0, 0.05) | extreme_ratio,
+           "loss_ratio": st.floats(0.01, 2.0) | extreme_ratio,
+           "gamma_star_ratio": st.just(0.0) | extreme_ratio}))
+def test_objective_scans_keep_the_full_scan_optimum(q0, objective, model,
+                                                    kwargs):
+    if model == "one_ulp_dip":
+        d_range, fm = (1.0, 3.0), one_ulp_dip_model()
+    else:
+        d_range, fm = (0.5, 8.0), FIELD_MODELS[model]
+    try:
+        ref = reference_optimizer(q0, objective, d_range, fm, **kwargs)
+    except DomainError as exc:
+        with pytest.raises(type(exc)) as got:
+            optimize_diameter(q0, objective, d_range, fm, **kwargs)
+        assert str(got.value) == str(exc)
+        return
+    res = optimize_diameter(q0, objective, d_range, fm, **kwargs)
+    assert (res.at_boundary, res.refine_scans) == ref[3:]
+    assert type(res.merit) is FiguresOfMerit
+    assert [bits(res.d_opt), bits(res.value), bits(res.merit)] == [
+        bits(v) for v in ref[:3]]
 
 
 @settings(max_examples=150, deadline=None)
