@@ -235,14 +235,18 @@ def _check_ranges(ns, parser, rows):
 def _build_params(ns, parser, *, force_ideal=False):
     """The system parameters of ``ns``, and the flags that set gamma.  A
     refused rate is a usage error naming gamma's flags, --kappa and the
-    leak flags that are set."""
+    leak flags that are set.  --gamma-over-kappa defaults to 0.002 and
+    --gamma-star to 0."""
     from .model import make_params
+    if ns.gamma is not None and ns.gamma_over_kappa is not None:
+        parser.error("--gamma and --gamma-over-kappa are mutually exclusive")
     kappa = ns.kappa
-    gamma = ns.gamma if ns.gamma is not None else ns.gamma_over_kappa * kappa
+    gamma = (ns.gamma if ns.gamma is not None
+             else (ns.gamma_over_kappa or 0.002) * kappa)
     flags = "--gamma" if ns.gamma is not None else "--gamma-over-kappa/--kappa"
     leaks = [f"--{name.replace('_', '-')}"
-             for name in ("gamma_at", "gamma_cav", "q_ratio", "f")
-             if getattr(ns, name) is not None]
+             for name in ("gamma_at", "gamma_cav", "q_ratio", "f",
+                          "gamma_star") if getattr(ns, name) is not None]
     rates = "/".join([flags.split("/")[0], "--kappa", *leaks])
     if force_ideal:
         if leaks:
@@ -260,9 +264,10 @@ def _build_params(ns, parser, *, force_ideal=False):
     gamma_at = ns.gamma_at or 0.0
     if ns.f is not None:
         gamma_at = 0.0 if math.isinf(ns.f) else q * gamma / ns.f
+    gamma_star = 0.0 if ns.gamma_star is None else ns.gamma_star
     return _api_call(parser, rates, make_params, gamma, kappa, delta=ns.delta,
                      gamma_at=gamma_at, gamma_cav=gamma_cav,
-                     gamma_star=ns.gamma_star), flags
+                     gamma_star=gamma_star), flags
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +286,8 @@ def _cmd_spectrum(ns, parser):
 
     def block(_, dwb):
         *_, t, r = _fixed_point(dwb, drive.b_in, params)
-        t_empty = -params.q_ratio * t0_prime(dwb, params)
+        with np.errstate(all="ignore"):     # NaN is refused by `run`
+            t_empty = -params.q_ratio * t0_prime(dwb, params)
         if ns.evanescent:
             t, r, t_empty = r, t, 1.0 + t_empty
         cap_t, cap_r = np.abs(t) ** 2, np.abs(r) ** 2
@@ -463,13 +469,13 @@ def _cmd_kerr(ns, parser):
 #: The system-parameter rows, one "system parameters" group in --help.
 _SYSTEM = (
     ("--gamma", float, None, "(0, inf)", "emission rate into the mode", None),
-    ("--gamma-over-kappa", float, 0.002, "(0, inf)",
+    ("--gamma-over-kappa", float, None, "(0, inf)",
      "gamma as a fraction of kappa (default 0.002)", None),
     ("--kappa", float, 1.0, "(0, inf)", "cavity-port rate (default 1)", None),
     ("--delta", float, 0.0, "(-inf, inf)", "cavity-emitter detuning", None),
     ("--gamma-at", float, None, "[0, inf)", "emitter leak rate", None),
     ("--gamma-cav", float, None, "[0, inf)", "cavity leak rate", None),
-    ("--gamma-star", float, 0.0, "[0, inf)", "pure dephasing rate", None),
+    ("--gamma-star", float, None, "[0, inf)", "pure dephasing rate", None),
     ("--q-ratio", float, None, "(0, 1]", "Q/Q0; alternative to --gamma-cav",
      None),
     ("--f", float, None, "(0, inf]",

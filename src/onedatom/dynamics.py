@@ -149,7 +149,8 @@ def _bloch(drive: DriveField, params: SystemParams):
 def _check_rounding(m, slowest):
     """Refuse M whose exponential rounding would exceed _ROUNDING_MAX, or
     whose slowest decay rate is not a normal float."""
-    norm = np.abs(m).sum(axis=0).max()
+    with np.errstate(over="ignore"):    # an infinite norm is refused
+        norm = np.abs(m).sum(axis=0).max()
     if not (np.finfo(float).eps * norm <= _ROUNDING_MAX * slowest
             and slowest >= np.finfo(float).tiny):
         raise UnsupportedRegime(

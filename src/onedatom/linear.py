@@ -97,11 +97,11 @@ def _fixed_point(delta_omega, b_in, params: SystemParams):
     """
     rates = [getattr(params, f.name) for f in fields(params)]
     k = math.frexp(params.kappa)[1] // 2
-    dw = np.ldexp(np.atleast_1d(np.asarray(delta_omega, dtype=float)), -2 * k)
-    b_in = np.atleast_1d(np.asarray(b_in, dtype=complex)) * math.ldexp(1.0, -k)
-    params = SystemParams(*(np.ldexp(rate, -2 * k) for rate in rates))
-    gamma = params.gamma
     with np.errstate(all="ignore"):
+        dw = np.ldexp(np.atleast_1d(np.asarray(delta_omega, float)), -2 * k)
+        b_in = np.atleast_1d(np.asarray(b_in, complex)) * math.ldexp(1.0, -k)
+        params = SystemParams(*(np.ldexp(rate, -2 * k) for rate in rates))
+        gamma = params.gamma
         qt0 = params.q_ratio * t0_prime(dw, params)
         e = 2j * dw + params.loss_rate
         d = 0.5 * (gamma * qt0 + e)
@@ -142,7 +142,8 @@ def transmission_leaky(delta_omega, params: SystemParams, *,
     """
     def block(_, dw):
         if empty_cavity:
-            t = -params.q_ratio * t0_prime(dw, params)
+            with np.errstate(all="ignore"):   # overflow shows as inf or NaN
+                t = -params.q_ratio * t0_prime(dw, params)
             r = 1.0 + t
         else:
             *_, t, r = _fixed_point(dw, 0.0, params)

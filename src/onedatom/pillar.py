@@ -7,16 +7,17 @@ is a power law |E(d)|^2 = (c_E/d)^2 calibrated so that a Q0 = 1000 pillar
 with eps = 0.007 and d = 2.4 um has Q = 960; tabulated profiles can be
 supplied instead.
 
-The figures of merit come from two stages of array expressions over a
-block of diameters, one expression per quantity: the kernel-free design
-columns (Q, V, F_p, f, Q/Q0, eta and beta^2), and the cavity-response
-columns (T_max, T_min and the contrast), the steady-state kernel's resonant
-transmission in its empty-cavity limit and at zero drive.  A diameter scan
-runs both stages in one call, in blocks of `csvio.BLOCK_ROWS`, and a single
-design (:func:`figures_of_merit`) is the same call on a scalar diameter, a
-one-element block, so both give the same bits.  Each refinement scan of the
-optimizer evaluates only its objective's column, one call of the design
-stage (and of the response stage for the contrast) per block.
+The figures of merit come from one function, `_columns`, which fills the
+columns it is asked for by name through two stages of array expressions
+over a block of diameters, one expression per quantity: the kernel-free
+design columns (Q, V, F_p, f, Q/Q0, eta and beta^2), and the
+cavity-response columns (T_max, T_min and the contrast), the steady-state
+kernel's resonant transmission in its empty-cavity limit and at zero
+drive.  The response stage runs only when a response column is asked for.
+A diameter scan asks for every column, in blocks of `csvio.BLOCK_ROWS`,
+and a single design (:func:`figures_of_merit`) is the same call on a
+scalar diameter, a one-element block, so both give the same bits.  Each
+refinement scan of the optimizer asks for its objective's column alone.
 """
 
 from __future__ import annotations
@@ -142,92 +143,81 @@ class FiguresOfMerit(ColumnRecord):
 
 #: A diameter scan and its rows are one record.
 DiameterSweep = FiguresOfMerit
-
-
+_ALL_COLUMNS = tuple(f.name for f in fields(FiguresOfMerit))
 #: The cavity-response columns of :class:`FiguresOfMerit`; the others
 #: but d are the design stage's.
 _RESPONSE_COLUMNS = ("t_max", "t_min", "contrast")
 
 
-def _stages(design: PillarDesign, d, field_model: FieldProfileModel,
-            response: bool):
-    """The design-stage columns q, v, fp, f, q_ratio, eta and beta_sq at
-    the diameters of the 1-d array ``d``, and the response-stage columns
-    t_max, t_min and contrast too if ``response``, by name.
+def _columns(design: PillarDesign, d, field_model: FieldProfileModel,
+             names):
+    """The figure-of-merit columns ``names`` at the diameter ``d``, a
+    float, or at each of the diameters of the 1-d array ``d`` (finite and
+    > 0); ``design`` supplies every other parameter.  A float gives Python
+    floats, an array columns filled a block of `csvio.BLOCK_ROWS`
+    diameters at a time (`model._blockwise`).
 
-    f follows from the Purcell factor through
-    f = F_p / (loss_ratio + 2 gamma_star_ratio).  T_min is |t|^2 of the
-    steady-state kernel at zero drive and T_max that of its empty-cavity
-    limit -(Q/Q0) t0'(0), for the rates that params_from_ratios(1, 500,
-    Q/Q0, f) gives: Q/Q0 and 1/f make its round trip through gamma_cav and
-    gamma_at, and the resonant values depend on (Q/Q0, f) only.
+    Each block runs the design stage, q, v, fp, f, q_ratio, eta and
+    beta_sq, and the response stage, t_max, t_min and contrast, only if
+    ``names`` holds one of its columns.  f follows from the Purcell factor
+    through f = F_p / (loss_ratio + 2 gamma_star_ratio).  T_min is |t|^2
+    of the steady-state kernel at zero drive and T_max that of its
+    empty-cavity limit -(Q/Q0) t0'(0), for the rates that
+    params_from_ratios(1, 500, Q/Q0, f) gives: Q/Q0 and 1/f make its round
+    trip through gamma_cav and gamma_at, and the resonant values depend on
+    (Q/Q0, f) only.
 
-    The block is refused at its first diameter where eta, or with the
+    A block is refused at its first diameter where eta, or with the
     response stage contrast + eta, is not finite.  fp, eta and beta_sq are
     finite where eta is, and every column is finite where contrast + eta
     is.
     """
     lam_n = design.lambda_0 / design.n_index
-    # Overflow and 0/0 show up as a non-finite eta or contrast, checked
-    # below.
-    with np.errstate(all="ignore"):
-        # 1/Q = 1/Q0 + 2 |E(d)|^2 eps / d
-        q = 1.0 / (1.0 / design.q0 + 2.0 * field_model.field_sq(d)
-                   * design.epsilon / d)
-        # V = (lambda/n) pi d^2 / 8, F_p = (3 Q / (4 pi^2 V)) (lambda/n)^3
-        v = lam_n * math.pi * np.float_power(d, 2) / 8.0
-        fp = 3.0 * q * np.float_power(lam_n, 3) / (4.0 * math.pi ** 2 * v)
-        f = fp / (design.loss_ratio + 2.0 * design.gamma_star_ratio)
-        # Q <= Q0; the clip only removes the last-bit excess 1/(1/Q0) can
-        # carry.
-        q_ratio = np.minimum(q / design.q0, 1.0)
-        beta = f / (1.0 + f)
-        columns = {"q": q, "v": v, "fp": fp, "f": f, "q_ratio": q_ratio,
-                   "eta": beta * q_ratio, "beta_sq": beta * beta}
-        check = columns["eta"]
-        if response:
-            params = SystemParams(1.0, 500.0, gamma_at=q_ratio / f,
-                                  gamma_cav=1000.0 * (1.0 / q_ratio - 1.0))
-            t_max = np.abs(params.q_ratio * t0_prime(0.0, params)) ** 2
-            # T_min <= T_max; the clip only removes a last-bit excess.
-            t_min = np.minimum(np.abs(_fixed_point(0.0, 0.0, params)[4]) ** 2,
-                               t_max)
-            columns.update(t_max=t_max, t_min=t_min, contrast=t_max - t_min)
-            check = columns["contrast"] + check
-    finite = np.isfinite(check)
-    if not finite.all():
-        raise UnsupportedRegime(
-            "figures of merit leave the float range at "
-            f"d={float(d[np.argmin(finite)])!r}")
-    return columns
+    response = not set(names).isdisjoint(_RESPONSE_COLUMNS)
+
+    def block(_, d):
+        # Overflow and 0/0 show up as a non-finite eta or contrast, checked
+        # below.
+        with np.errstate(all="ignore"):
+            # 1/Q = 1/Q0 + 2 |E(d)|^2 eps / d
+            q = 1.0 / (1.0 / design.q0 + 2.0 * field_model.field_sq(d)
+                       * design.epsilon / d)
+            # V = (lambda/n) pi d^2 / 8, F_p = (3 Q / (4 pi^2 V)) (lambda/n)^3
+            v = lam_n * math.pi * np.float_power(d, 2) / 8.0
+            fp = 3.0 * q * np.float_power(lam_n, 3) / (4.0 * math.pi ** 2 * v)
+            f = fp / (design.loss_ratio + 2.0 * design.gamma_star_ratio)
+            # Q <= Q0; the clip only removes the last-bit excess 1/(1/Q0)
+            # can carry.
+            q_ratio = np.minimum(q / design.q0, 1.0)
+            beta = f / (1.0 + f)
+            columns = {"d": d, "q": q, "v": v, "fp": fp, "f": f,
+                       "q_ratio": q_ratio, "eta": beta * q_ratio,
+                       "beta_sq": beta * beta}
+            check = columns["eta"]
+            if response:
+                params = SystemParams(1.0, 500.0, gamma_at=q_ratio / f,
+                                      gamma_cav=1000.0 * (1.0 / q_ratio - 1.0))
+                t_max = np.abs(params.q_ratio * t0_prime(0.0, params)) ** 2
+                # T_min <= T_max; the clip only removes a last-bit excess.
+                t_min = np.minimum(
+                    np.abs(_fixed_point(0.0, 0.0, params)[4]) ** 2, t_max)
+                columns.update(t_max=t_max, t_min=t_min,
+                               contrast=t_max - t_min)
+                check = columns["contrast"] + check
+        finite = np.isfinite(check)
+        if not finite.all():
+            raise UnsupportedRegime(
+                "figures of merit leave the float range at "
+                f"d={float(d[np.argmin(finite)])!r}")
+        return [columns[name] for name in names]
+
+    return _blockwise((d,), (float,) * len(names), block)
 
 
 def _sweep(design: PillarDesign, d,
            field_model: FieldProfileModel) -> FiguresOfMerit:
-    """Figures of merit at the diameter ``d``, a float, or at each of the
-    diameters of the 1-d array ``d`` (finite and > 0); ``design`` supplies
-    every other parameter.  A float gives Python floats, an array columns
-    filled a block of `csvio.BLOCK_ROWS` diameters at a time
-    (`model._blockwise`), each block through both stages.
-    """
-    def block(_, d):
-        columns = _stages(design, d, field_model, response=True)
-        columns["d"] = d
-        return [columns[f.name] for f in fields(FiguresOfMerit)]
-
-    return FiguresOfMerit(*_blockwise((d,), (float,) * 11, block))
-
-
-def _objective_scan(design: PillarDesign, d,
-                    field_model: FieldProfileModel, key: str):
-    """Column ``key`` of ``_sweep(design, d, field_model)`` for the 1-d
-    array ``d``, with its bits: each block runs the design stage, and the
-    response stage only for a response column, and assembles that column
-    alone.  A block is refused as `_stages` refuses it.
-    """
-    response = key in _RESPONSE_COLUMNS
-    return _blockwise((d,), (float,), lambda _, d: (
-        _stages(design, d, field_model, response)[key],))[0]
+    """Every figure of merit at ``d``, as `_columns` gives them."""
+    return FiguresOfMerit(*_columns(design, d, field_model, _ALL_COLUMNS))
 
 
 def figures_of_merit(design: PillarDesign,
@@ -345,7 +335,7 @@ def optimize_diameter(q0, objective="contrast", d_range=(0.5, 8.0),
         a, b = grid[i - 1], grid[i + 1]
         while b - a > 1e-7:
             scan_d = np.linspace(a, b, _REFINE_POINTS)
-            scan = _objective_scan(design, scan_d, fm, key)
+            scan, = _columns(design, scan_d, fm, (key,))
             j = int(np.argmax(scan))
             a = scan_d[max(j - 1, 0)]
             b = scan_d[min(j + 1, _REFINE_POINTS - 1)]

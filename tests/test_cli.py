@@ -155,6 +155,62 @@ def test_saturation_ideal_conflicts_with_leak_flags():
     assert run(["saturation", "--ideal", "--f", "5"]) == 2
 
 
+@pytest.mark.parametrize("argv, pair, message", [
+    (["spectrum", "--grid", "-1:1:3"],
+     {"gamma": 0.1, "gamma_over_kappa": 0.5},
+     "--gamma and --gamma-over-kappa are mutually exclusive"),
+    (["saturation", "--x-grid", "log:-1:1:3"],
+     {"ideal": True, "gamma_star": 0.1},
+     "--ideal conflicts with --gamma-star")])
+@pytest.mark.parametrize("from_config", [(), ("gamma", "ideal"),
+                                         ("gamma_over_kappa", "gamma_star")])
+def test_gamma_and_dephasing_pairs_are_usage_errors(tmp_path, capsys, argv,
+                                                    pair, message,
+                                                    from_config):
+    # Each pair exits 2 naming both flags, also when one of them comes
+    # from --config; neither flag is silently dropped.
+    config = {k: v for k, v in pair.items() if k in from_config}
+    for key, value in pair.items():
+        if key not in config:
+            flag = "--" + key.replace("_", "-")
+            argv = argv + ([flag] if value is True else [flag, str(value)])
+    if config:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "o.csv"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_each_flag_of_the_gamma_and_dephasing_pairs_alone_keeps_its_output(
+        tmp_path):
+    def csv_and_derived(*argv):
+        out = tmp_path / "o.csv"
+        assert run([*argv, "--out", str(out)]) == 0
+        return out.read_bytes(), read_manifest(out)["derived"]
+
+    grid = ["--grid", "-1:1:5"]
+    default, derived = csv_and_derived("spectrum", *grid)
+    assert derived["gamma"] == 0.002
+    assert csv_and_derived("spectrum", "--gamma", "0.002", *grid)[0] == default
+    by_ratio, derived = csv_and_derived(
+        "spectrum", "--gamma-over-kappa", "0.25", "--kappa", "2", *grid)
+    assert derived["gamma"] == 0.5
+    assert csv_and_derived("spectrum", "--gamma", "0.5", "--kappa", "2",
+                           *grid)[0] == by_ratio
+    grid = ["--x-grid", "log:-1:1:5"]
+    default, derived = csv_and_derived("saturation", *grid)
+    assert derived["gamma_star"] == 0.0
+    assert csv_and_derived("saturation", "--ideal", *grid)[0] == default
+    assert csv_and_derived("saturation", "--gamma-star", "0", *grid)[0] \
+        == default
+    dephased, derived = csv_and_derived("saturation", "--gamma-star", "0.1",
+                                        *grid)
+    assert derived["gamma_star"] == 0.1 and dephased != default
+
+
 def test_dynamics_trajectory_csv(tmp_path):
     out = tmp_path / "traj.csv"
     assert run(["dynamics", "--x", "1", "--duration", "20", "--samples", "11",
@@ -988,14 +1044,39 @@ def test_slowlight_huge_f_has_a_finite_half_power_count(tmp_path):
     ["spectrum", "--delta", "1e308", "--grid", "-1:1:5"],
     # gamma/kappa = 1e-600 underflows in units of kappa (kappa = 1e-308
     # alone now runs).
-    ["spectrum", "--gamma", "1e-300", "--kappa", "1e300", "--grid", "-1:1:5"]])
+    ["spectrum", "--gamma", "1e-300", "--kappa", "1e300", "--grid", "-1:1:5"],
+    # delta/kappa = 1e600, and gamma_at/kappa at f = 5e-324, leave the
+    # float range.
+    ["spectrum", "--delta", "1e300", "--kappa", "1e-300"],
+    ["saturation", "--f", "5e-324", "--x-grid", "log:-3:4:7", "--kappa",
+     "1e-300", "--delta", "100"]])
 def test_nan_columns_are_domain_errors(tmp_path, capsys, argv):
     out = tmp_path / "o.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no numpy warning either
         assert run(argv + ["--out", str(out)]) == 3
+    column = {"spectrum": "re_t", "saturation": "x_eff"}[argv[0]]
     assert capsys.readouterr().err == (
-        "error: spectrum: column re_t holds NaN; no output written\n")
+        f"error: {argv[0]}: column {column} holds NaN; no output written\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    # t0' = 1/(1 + i delta/kappa) overflows below kappa of about 5.6e-309.
+    (["spectrum", "--kappa", "1e-320"], 3),
+    (["bistability", "--kappa", "1e-320"], 2),
+    (["bistability", "--delta", "1e300", "--kappa", "1e-300"], 3),
+    # The norm of the equations of motion overflows.
+    (["dynamics", "--duration", "1", "--samples", "3", "--gamma-over-kappa",
+      "1e308", "--power", "1e308"], 3)])
+def test_rates_outside_the_float_range_print_no_numpy_warning(
+        tmp_path, capsys, argv, code):
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv + ["--out", str(out)]) == code
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(("error: ", "onedatom: error: "))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1124,7 +1205,8 @@ FLAGS = _flag_arities()
 VALUES = ["0", "-1", "1", "0.3", "2.5", "nan", "inf", "-inf", "1e308",
           "-1e308", "0:1:5", "log:-3:4:7", "log:-8:0:5", "1:0:3", "0:1:1",
           "0:1", "log:0:400:3", "nan:1:3", "a:b:c", "5,0", ",", "1,x",
-          "5,10,inf", "", "junk", "--"]
+          "5,10,inf", "", "junk", "--", "1e-320", "5e-324", "1e-300",
+          "1e300"]
 #: Flags set before the fuzzed ones, so that a dynamics example stays short
 #: unless it overrides them.
 CHEAP_PREFIX = {"dynamics": ["--duration", "1", "--samples", "3"]}
@@ -1148,8 +1230,10 @@ def fuzzed_argv(draw):
 @given(argv=fuzzed_argv())
 def test_fuzzed_arguments_exit_0_2_or_3(tmp_path, argv):
     # Any argument list ends in success, a usage error or a domain error:
-    # never a traceback or another exit code.
-    code = run([*argv, "--out", str(tmp_path / "o.csv")])
+    # never a traceback, another exit code or a numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run([*argv, "--out", str(tmp_path / "o.csv")])
     assert code in (0, 2, 3), argv
     if code == 0:
         _, rows = read_csv(tmp_path / "o.csv")
