@@ -16,8 +16,12 @@
 # both trees must write the same files.  A change may add entries to a
 # manifest, so each manifest is loaded as JSON on both trees instead: every
 # entry under `results` and `diagnostics` of the base's, at any depth, must
-# be equal at the head, and entries the head adds pass.  Needs python with
-# numpy; exits 1 naming each difference.
+# be equal at the head, and entries the head adds pass.  HEAD alone also
+# runs the same README lines in one interpreter through onedatom.cli.run,
+# each after a usage error of its subcommand, so that each call reuses a
+# parser built and used before; each of its CSV and manifest files must
+# have the bytes of HEAD's per-process run.  Needs python with numpy;
+# exits 1 naming each difference.
 set -eu
 
 if [ $# -ne 3 ]; then
@@ -38,6 +42,18 @@ for tree in base head; do
   mkdir "$work/out-$tree"
   (cd "$work/out-$tree" && PYTHONPATH="$src" sh -e "$work/readme.sh")
 done
+
+mkdir "$work/reused-head"
+(cd "$work/reused-head" && PYTHONPATH="$head/src" python -c '
+import contextlib, io, shlex, sys
+import onedatom.cli
+with open(sys.argv[1], encoding="utf-8") as lines:
+    for line in lines:
+        argv = shlex.split(line)[3:]        # after "python -m onedatom.cli"
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert onedatom.cli.run([argv[0], "--bogus", "1"]) == 2, argv
+        assert onedatom.cli.run(argv) == 0, argv
+' "$work/readme.sh")
 
 for tree in base head; do
   src="$head/src"
@@ -98,6 +114,19 @@ if ! diff <(cd out-base && find . | sort) <(cd out-head && find . | sort); then
   echo "::error::the README commands, dense sweeps or ode_oracle operations write other files than at the base commit"
   status=1
 fi
+reused=0
+for name in $(cd out-head && find . -maxdepth 1 -type f | sort); do
+  reused=$((reused + 1))
+  if ! cmp -s "out-head/$name" "reused-head/$name"; then
+    echo "::error::${name#./} differs between the head's in-process run on reused parsers and its own process"
+    status=1
+  fi
+done
+if ! diff <(cd out-head && find . -maxdepth 1 -type f | sort) \
+          <(cd reused-head && find . -type f | sort); then
+  echo "::error::the README commands write other files in one process than one process each"
+  status=1
+fi
 manifests=$(cd out-base && find . -name '*.json' | wc -l)
 if ! python - out-base out-head <<'EOF'
 import json, pathlib, sys
@@ -135,8 +164,8 @@ then
   status=1
 fi
 if [ $status -eq 0 ]; then
-  echo "pass, $compared files and $manifests manifests compared"
+  echo "pass, $compared files and $manifests manifests compared, $reused files on reused parsers"
 else
-  echo "fail, $compared files and $manifests manifests compared"
+  echo "fail, $compared files and $manifests manifests compared, $reused files on reused parsers"
 fi
 exit $status

@@ -9,13 +9,14 @@ stderr.  Every option can also be supplied through ``--config file.json``
 (keys mirror the flag names); explicit flags win over the config file.
 
 Each subcommand is one entry of ``_COMMANDS``: its help line, its option
-rows and its handler.  A call builds the parser of the subcommand it
-names only (all eight for --help or a missing or unknown command) and
-uses that subcommand's rows only: `build_parser` makes their argparse
-options, and `run` fills them from --config and the defaults, refuses a
-value out of range (exit 2, naming the flag) and writes them to the
-manifest's ``options``.  The handler imports the compute modules it runs,
-so a call loads only the modules of its own subcommand.
+rows and its handler.  A call uses the parser of the subcommand it names
+only (all eight for --help or a missing or unknown command), which a
+process builds once, on first use, and reuses, and that subcommand's rows
+only: `build_parser` makes their argparse options, and `run` fills them
+from --config and the defaults, refuses a value out of range (exit 2,
+naming the flag) and writes them to the manifest's ``options``.  The
+handler imports the compute modules it runs, so a call loads only the
+modules of its own subcommand.
 
 A handler checks the exclusive pairs and ``--ideal`` conflicts of its
 options and parses grids; the API functions it calls check the rest, and
@@ -179,7 +180,8 @@ def _range_text(rng, kind):
 def _apply_config(ns, parser, rows):
     """Fill unset options from --config, converted by the row's type (an int
     option converts as a float and is checked for integrality later), then
-    from the rows' defaults."""
+    from the rows' defaults.  A config key that names no row, or names
+    --config itself, is a usage error."""
     config = {}
     if ns.config:
         try:
@@ -190,7 +192,8 @@ def _apply_config(ns, parser, rows):
         if not isinstance(config, dict):
             parser.error("config must be a JSON object")
         config = {str(k).replace("-", "_"): v for k, v in config.items()}
-        unknown = set(config) - set(vars(ns))
+        unknown = set(config) - {_dest(flag) for flag, *_ in rows
+                                 if flag != "--config"}
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
     for flag, kind, default, *_ in rows:
@@ -431,7 +434,10 @@ def _cmd_bistability(ns, parser):
         "derived": _params_view(params),
         "results": {"max_slope": scan.max_slope, "verdicts": {
             repr(a): unique for a, unique in zip(
-                scan.fraction_a.tolist(), scan.unique_solution.tolist())}}}
+                scan.fraction_a.tolist(), scan.unique_solution.tolist())}},
+        # Such a p_t keeps only a few significant bits.
+        "diagnostics": {"p_t_subnormal_rows": int(np.count_nonzero(
+            scan.p_t < np.finfo(float).tiny))}}
 
 
 def _cmd_reshape(ns, parser):
@@ -591,19 +597,27 @@ _COMMANDS = {
 _NEGATIVE_VALUE = re.compile(r"^-\d[\d.:eE,+-]*$")
 
 
+#: The parsers built so far in this process, by `build_parser`'s key: the
+#: first subcommand named in argv (or None) and whether argv starts with it.
+_PARSERS = {}
+
+
 def build_parser(argv=()) -> argparse.ArgumentParser:
     """The parser for the arguments ``argv``.  When ``argv`` starts with a
     subcommand, only that subcommand's parser is built; otherwise (--help,
     a missing or an unknown command) all eight are.  Only the first
     subcommand named in ``argv`` gets its options, one per row of its table
-    entry."""
+    entry.  A process builds each such parser once, on first use, and
+    reuses it: parsing leaves a parser as it was."""
+    named = next((arg for arg in argv if arg in _COMMANDS), None)
+    alone = bool(argv) and argv[0] == named
+    if (named, alone) in _PARSERS:
+        return _PARSERS[named, alone]
     parser = argparse.ArgumentParser(
         prog="onedatom",
         description="One-dimensional-atom spectra, saturation curves, "
                     "dynamics, pillar design and application calculators.")
     parser._negative_number_matcher = _NEGATIVE_VALUE
-    named = next((arg for arg in argv if arg in _COMMANDS), None)
-    alone = bool(argv) and argv[0] == named
     # The metavar keeps all eight names in the usage line of a lone parser.
     # It is set for a lone parser only: argparse would also put it in place
     # of "command" in the errors for a missing or an unknown command.
@@ -622,6 +636,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
                       else {"type": float if kind is int else kind})
             (system if row in _SYSTEM else sp).add_argument(
                 flag, help=help_row, **kwargs)
+    _PARSERS[named, alone] = parser
     return parser
 
 

@@ -425,12 +425,58 @@ def test_a_named_subcommand_builds_only_its_own_parser(tmp_path, monkeypatch,
         built.append(self)
         init(self, *args, **kwargs)
 
+    # A process builds each parser on first use only.
+    monkeypatch.setattr(cli, "_PARSERS", {})
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert run(["kerr", "--out", str(tmp_path / "k.csv")]) == 0
-    assert len(built) == 2
-    built.clear()
-    assert run(["--help"]) == 0
-    assert len(built) == 9
+    for argv, count in ((["kerr", "--out", str(tmp_path / "k.csv")], 2),
+                        (["--help"], 9)):
+        for want in (count, 0):
+            built.clear()
+            assert run(argv) == 0
+            assert len(built) == want, argv
+
+
+def test_a_reused_parser_carries_nothing_between_calls(tmp_path, monkeypatch,
+                                                        capsys):
+    # On one table of parsers, each README line runs fresh, then with an
+    # unknown flag, then with its options from --config, then again: the
+    # first and last runs write the same bytes, the --config run too, and
+    # the usage error reads as it does on a parser built for it alone.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_PARSERS", {})
+
+    def outputs(argv):
+        out = pathlib.Path(argv[argv.index("--out") + 1])
+        manifest = pathlib.Path(f"{out}.manifest.json")
+        return out.read_bytes(), manifest.read_bytes()
+
+    def fresh_table_run(argv):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_PARSERS", {})
+            return run(argv), capsys.readouterr()
+
+    for argv in readme_commands():
+        assert run(argv) == 0, argv
+        first = outputs(argv)
+        bogus = [*argv, "--bogus", "1"]
+        assert (run(bogus), capsys.readouterr()) == fresh_table_run(bogus)
+        options, flag = {}, None
+        for arg in argv[1:]:
+            if arg.startswith("--"):
+                flag = arg[2:]
+                options[flag] = True
+            else:
+                options[flag] = arg
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(options))
+        assert run([argv[0], "--config", str(config)]) == 0, argv
+        assert outputs(argv) == first, argv
+        assert run(argv) == 0, argv
+        assert outputs(argv) == first, argv
+    capsys.readouterr()
+    for argv in (["--help"], *([name, "--help"] for name in CHEAP_CALLS)):
+        texts = [(run(argv), capsys.readouterr()) for _ in range(2)]
+        assert texts[0] == texts[1] and texts[0][0] == 0, argv
 
 
 def test_usage_errors_list_every_subcommand(capsys):
@@ -500,6 +546,19 @@ def test_bistability_verdicts(tmp_path):
     res = read_manifest(out)["results"]
     assert res["max_slope"] < 1.0
     assert all(res["verdicts"].values())
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["--gamma", "1e-300", "--x-grid", "log:-7:0:8"], 5), ([], 0)])
+def test_bistability_manifest_counts_subnormal_p_t_rows(tmp_path, argv,
+                                                        count):
+    # x = 1e-7 ... 1e-3 give a p_t below the normal float range there.
+    out = tmp_path / "bi.csv"
+    assert run(["bistability", *argv, "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    p_t = np.array([row[2] for row in rows])
+    assert np.count_nonzero(p_t < np.finfo(float).tiny) == count
+    assert read_manifest(out)["diagnostics"] == {"p_t_subnormal_rows": count}
 
 
 @pytest.mark.parametrize("kappa, x, rtol", [
@@ -634,10 +693,21 @@ def test_config_file_and_flag_override(tmp_path):
     assert len(rows2) == 21
 
 
-def test_config_unknown_key_rejected(tmp_path):
+def test_config_unknown_key_rejected(tmp_path, capsys):
+    # Only the subcommand's own option rows, --out and --manifest may be
+    # set by the config file; the subcommand and --config itself may not.
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"gird": "-1:1:11"}))
-    assert run(["spectrum", "--config", str(cfg)]) == 2
+    for name, config, key in (
+            ("spectrum", {"gird": "-1:1:11"}, "gird"),
+            ("kerr", {"command": "spectrum"}, "command"),
+            ("kerr", {"config": "nonexistent.json", "gamma_per_s": 2e10},
+             "config"),
+            ("kerr", {"bogus": 1}, "bogus")):
+        cfg.write_text(json.dumps(config))
+        assert run([name, "--config", str(cfg),
+                    "--out", str(tmp_path / "o.csv")]) == 2, key
+        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg], key
 
 
 def test_explicit_manifest_path(tmp_path):
