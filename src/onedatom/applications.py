@@ -100,8 +100,8 @@ def bistability_scan(params: SystemParams, fraction_a, x_grid) -> BistabilityRes
 
     The loop P_e = P_0 + A P_t(P_e) can only be bistable if the slope
     dP_t/dP_e exceeds 1 somewhere.  P_e = (gamma/4) x drives the resonance;
-    `_fixed_point` gives P_t = P_e |t|^2, x_eff = P_e/P_c and, through
-    dt/dx_eff = (t_inf - t)/(1 + x_eff) with t_inf = -(Q/Q0) t0'(0),
+    `_fixed_point` gives P_t = P_e |t|^2, x_eff = P_e/P_c, t_inf = t(x = inf)
+    = -(Q/Q0) t0'(0) and, through dt/dx_eff = (t_inf - t)/(1 + x_eff),
     dP_t/dP_e = |t|^2 + 2 x_eff Re(conj(t) (t_inf - t))/(1 + x_eff); the
     drives x +- h give a central difference, h = 1e-5 (1+x) where that is
     at most x/2, else 1e-5 x (at least the least float), taken on P_t
@@ -119,7 +119,6 @@ def bistability_scan(params: SystemParams, fraction_a, x_grid) -> BistabilityRes
     x = np.asarray(x_grid, dtype=float).reshape(-1)
     if x.size < 2 or np.any(x <= 0.0) or np.any(np.diff(x) <= 0.0):
         raise NonPositiveRate("x_grid must be positive, sorted, len >= 2")
-    t_inf = transmission_leaky(0.0, params, empty_cavity=True).t
     mantissa, exponent = math.frexp(params.gamma)
 
     def block(sl, xb):
@@ -127,14 +126,15 @@ def bistability_scan(params: SystemParams, fraction_a, x_grid) -> BistabilityRes
         h = np.where(h <= 0.5 * xb, h, np.maximum(1e-5 * xb, math.ulp(0.0)))
         power = _drive_power(np.stack((xb, xb + h, xb - h)), params.gamma,
                              sl.start)
-        _, x_eff, _, _, t, _ = _fixed_point(0.0, np.sqrt(power), params)
+        _, x_eff, _, _, t, _, t_inf = _fixed_point(0.0, np.sqrt(power),
+                                                   params)
         cap_t = np.abs(t) ** 2
         # Exact scalings where P_t is normal: (p_hi - p_lo)/(gamma h/2) there.
         u_hi, u_lo = np.ldexp(power[1:], 2 - exponent) * cap_t[1:]
         slope_numeric = (u_hi - u_lo) / (2.0 * (mantissa * h))
         x_eff, t = np.minimum(x_eff[0], 2.0 ** 53), t[0]  # x/(1+x) is 1 there
         slope_analytic = cap_t[0] + 2.0 * x_eff * (
-            t.conjugate() * (t_inf - t)).real / (1.0 + x_eff)
+            t.conjugate() * (t_inf[0] - t)).real / (1.0 + x_eff)
         return power[0], power[0] * cap_t[0], slope_analytic, slope_numeric
 
     p_e, p_t, slope_analytic, slope_numeric = _blockwise(
@@ -192,7 +192,7 @@ def contrast_enhancement(x, extinction_in, params: SystemParams) -> ReshapeResul
         # A row per pulse for a scalar too: numpy's scalar ** can be 1 ulp off.
         power = _drive_power(xb if xs.ndim else xb[0], params.gamma, sl.start,
                              np.array([[1.0], [d]]))
-        *_, t, _ = _fixed_point(0.0, np.sqrt(power), params)
+        _, _, _, _, t, _, _ = _fixed_point(0.0, np.sqrt(power), params)
         # t(0) = 0 without emitter losses: 0/0 at x = 0, replaced by the limit.
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             ratio = (np.abs(t[0] / t[1]) / math.sqrt(d)) ** 2

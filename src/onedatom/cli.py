@@ -47,7 +47,7 @@ import numpy as np
 
 from . import __version__
 from .csvio import open_out, write_csv
-from .errors import DomainError, UnsupportedRegime
+from .errors import DomainError, NonFiniteInput, UnsupportedRegime
 
 #: Most points a grid or a trajectory may have.
 MAX_POINTS = 10 ** 7
@@ -277,7 +277,7 @@ def _build_params(ns, parser, *, force_ideal=False):
 # subcommand handlers
 
 def _cmd_spectrum(ns, parser):
-    from .linear import _fixed_point, t0_prime
+    from .linear import _fixed_point, transmission_leaky
     from .model import DriveField, _blockwise, _drive_power
     nu = _grid_option(parser, "--grid", ns.grid)
     params, system = _build_params(ns, parser)
@@ -288,14 +288,13 @@ def _cmd_spectrum(ns, parser):
     drive = _api_call(parser, "--grid/--kappa/--delta", DriveField, dw, b_in)
 
     def block(_, dwb):
-        *_, t, r = _fixed_point(dwb, drive.b_in, params)
-        with np.errstate(all="ignore"):     # NaN is refused by `run`
-            t_empty = -params.q_ratio * t0_prime(dwb, params)
-        if ns.evanescent:
-            t, r, t_empty = r, t, 1.0 + t_empty
+        _, _, _, _, t, r, _ = _fixed_point(dwb, drive.b_in, params)
+        empty = transmission_leaky(dwb, params, empty_cavity=True,
+                                   evanescent=ns.evanescent)
+        t, r = (r, t) if ns.evanescent else (t, r)
         cap_t, cap_r = np.abs(t) ** 2, np.abs(r) ** 2
         return (t.real, t.imag, r.real, r.imag, cap_t, cap_r,
-                1.0 - cap_t - cap_r, np.abs(t_empty) ** 2)
+                1.0 - cap_t - cap_r, empty.cap_t)
 
     header = ("nu", "delta_omega", "re_t", "im_t", "re_r", "im_r",
               "cap_t", "cap_r", "leaks", "cap_t0")
@@ -352,6 +351,8 @@ def _cmd_dynamics(ns, parser):
                                   full_system=ns.full_system)
     except UnsupportedRegime as exc:
         raise UnsupportedRegime(f"--x/--power/--delta-omega: {exc}") from None
+    except NonFiniteInput as exc:       # the default 20/gamma overflowed
+        parser.error(f"--duration/{system} must be valid: {exc}")
     results["final"] = {"re_s": traj.s[-1].real, "im_s": traj.s[-1].imag,
                         "s_z": float(traj.s_z[-1])}
     runs = [traj] + ([settled] if settled else [])

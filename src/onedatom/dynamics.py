@@ -33,7 +33,8 @@ from .csvio import write_csv
 from .errors import (DomainError, NoConvergence, NonPositiveRate,
                      StepCollapse, UnsupportedRegime)
 from .linear import t0_prime
-from .model import BlochState, DriveField, SystemParams, _blockwise
+from .model import (BlochState, DriveField, SystemParams, _blockwise,
+                    _require_finite)
 from .nonlinear import output_amplitudes
 
 TRAJECTORY_COLUMNS = ("t", "re_s", "im_s", "s_z",
@@ -296,7 +297,7 @@ def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
     initial : BlochState
         Must satisfy the state invariants (|s_z| <= 1/2, |s|^2 <= 1/4).
     samples : int or array of floats
-        Number of equally spaced output samples (at least 2, so that both
+        Number of equally spaced output samples (an integer >= 2, so that
         t = 0 and t = duration are sampled), or explicit sample times:
         finite, strictly increasing and inside [0, duration].
     full_system : bool
@@ -317,11 +318,13 @@ def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
         states.
     """
     initial.require_physical()
+    _require_finite("duration", duration)
     if not duration > 0.0:
         raise NonPositiveRate(f"duration must be > 0, got {duration}")
     if np.isscalar(samples):
-        if not samples >= 2:
-            raise NonPositiveRate(f"samples must be >= 2, got {samples}")
+        if not (samples >= 2 and float(samples).is_integer()):
+            raise NonPositiveRate(
+                f"samples must be an integer >= 2, got {samples}")
         times = np.linspace(0.0, duration, int(samples))
         steps = np.full(times.size, duration / (times.size - 1))
         steps[0] = 0.0

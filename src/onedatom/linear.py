@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import LeakyNotSupported, ScanFailed, UnsupportedRegime
-from .model import SystemParams, _blockwise
+from .model import SystemParams, _blockwise, _outcome_block
 
 
 def empty_cavity_t0(delta_omega, params: SystemParams) -> complex:
@@ -91,9 +91,10 @@ def _fixed_point(delta_omega, b_in, params: SystemParams):
     of rate ratios, and every rate is scaled by the power of four 4^-k
     nearest 1/kappa (b_in by 2^-k, both exact), so no rate is squared or
     leaves the float range.  Rates may be arrays (kappa stays a scalar).
-    Returns (p_c, x, s_z, s, t, r) as arrays of the broadcast shape of the
-    inputs and rates, at least 1-d; x = 0 at zero drive, and a limit
-    beyond the float range gives NaN.
+    Returns (p_c, x, s_z, s, t, r, t_sat) as arrays of the broadcast shape
+    of the inputs and rates, at least 1-d: t_sat = -q t0' is the x -> inf
+    limit of t (the empty cavity), x = 0 at zero drive, and a limit beyond
+    the float range gives NaN.
     """
     rates = [getattr(params, f.name) for f in fields(params)]
     k = math.frexp(params.kappa)[1] // 2
@@ -122,7 +123,7 @@ def _fixed_point(delta_omega, b_in, params: SystemParams):
         # bit for bit, so r would depend on the array size.
         r = np.multiply(qt0, gamma + u * num) / den
         p_c = np.ldexp(np.broadcast_to(p_c, x.shape), 2 * k)
-    return p_c, x, s_z, s, t, r
+    return p_c, x, s_z, s, t, r, np.broadcast_to(-qt0, x.shape)
 
 
 def transmission_leaky(delta_omega, params: SystemParams, *,
@@ -131,7 +132,7 @@ def transmission_leaky(delta_omega, params: SystemParams, *,
 
     The zero-drive t = -(Q/Q0) t0' e/(2d) of `_fixed_point` is the paper's
     t = (Q/Q0) t0' [-1 + t0'/(t0' + 1/f + (2i dw/gamma)(Q0/Q))], and r = 1 + t.
-    ``empty_cavity=True`` drops the atom term, giving t = -(Q/Q0) t0'.
+    ``empty_cavity=True`` gives its saturated limit t = -(Q/Q0) t0' instead.
     ``evanescent=True`` swaps t and r, describing the geometry where the
     uncoupled cavity transmits instead of reflecting.
 
@@ -140,18 +141,13 @@ def transmission_leaky(delta_omega, params: SystemParams, *,
     one-element array through the same numpy operations, so it gives
     bit for bit the entry the array call gives, returned as Python numbers.
     """
-    def block(_, dw):
+    def block(sl, dw):
+        _, _, _, _, t, r, t_sat = _fixed_point(dw, 0.0, params)
         if empty_cavity:
-            with np.errstate(all="ignore"):   # overflow shows as inf or NaN
-                t = -params.q_ratio * t0_prime(dw, params)
-            r = 1.0 + t
-        else:
-            *_, t, r = _fixed_point(dw, 0.0, params)
-        if evanescent:
-            t, r = r, t
-        cap_t = np.abs(t) ** 2
-        cap_r = np.abs(r) ** 2
-        return dw, t, r, cap_t, cap_r, 1.0 - cap_t - cap_r
+            t, r = t_sat, 1.0 + t_sat
+        t, r = (r, t) if evanescent else (t, r)
+        t, r, cap_t, cap_r, _, _, leaks = _outcome_block(sl, t, r, 1.0)
+        return dw, t, r, cap_t, cap_r, leaks
 
     return LinearSpectrumPoint(*_blockwise(
         (np.asarray(delta_omega, dtype=float),),

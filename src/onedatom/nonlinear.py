@@ -132,7 +132,7 @@ def scatter_nonlinear(drive: DriveField, params: SystemParams) -> ScatteringOutc
     t = (Q/Q0)(beta/(1 + beta^2 x) - 1).
     """
     def block(sl, dw, b_in):
-        *_, t, r = _fixed_point(dw, b_in, params)
+        _, _, _, _, t, r, _ = _fixed_point(dw, b_in, params)
         return _outcome_block(sl, t, r, np.abs(b_in) ** 2)
 
     return ScatteringOutcome(*_blockwise((drive.delta_omega, drive.b_in),
@@ -178,12 +178,12 @@ def saturation_curve(params: SystemParams, x_grid) -> SaturationCurve:
 
     def block(sl, xb):
         b_in = np.sqrt(_drive_power(xb, params.gamma, sl.start))
-        p_c, x_eff, _, _, t, r = _fixed_point(0.0, b_in, params)
+        p_c, x_eff, _, _, t, r, _ = _fixed_point(0.0, b_in, params)
         p_in = b_in ** 2
         *_, cap_t, cap_r, p_t, p_r, p_noise = _outcome_block(sl, t, r, p_in)
-        noise = np.divide(p_noise, p_in, out=np.zeros_like(p_in),
-                          where=p_in > 0.0)
-        return x_eff, cap_t, cap_r, noise, p_t / p_c, p_r / p_c
+        with np.errstate(invalid="ignore"):     # 0/0: NaN, refused by the CLI
+            noise = np.where(p_in > 0.0, p_noise / p_in, 0.0)
+            return x_eff, cap_t, cap_r, noise, p_t / p_c, p_r / p_c
 
     x_eff, *columns = _blockwise((xs,), (float,) * 6, block)
     return SaturationCurve(

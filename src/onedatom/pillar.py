@@ -11,13 +11,13 @@ The figures of merit come from one function, `_columns`, which fills the
 columns it is asked for by name through two stages of array expressions
 over a block of diameters, one expression per quantity: the kernel-free
 design columns (Q, V, F_p, f, Q/Q0, eta and beta^2), and the
-cavity-response columns (T_max, T_min and the contrast), the steady-state
-kernel's resonant transmission in its empty-cavity limit and at zero
-drive.  The response stage runs only when a response column is asked for.
-A diameter scan asks for every column, in blocks of `csvio.BLOCK_ROWS`,
-and a single design (:func:`figures_of_merit`) is the same call on a
-scalar diameter, a one-element block, so both give the same bits.  Each
-refinement scan of the optimizer asks for its objective's column alone.
+cavity-response columns (T_max, T_min and the contrast), the resonant
+transmission in the saturated (empty-cavity) limit and at zero drive of
+one steady-state kernel call.  The response stage runs only when a
+response column is asked for.  A diameter scan asks for every column, in
+blocks of `csvio.BLOCK_ROWS`, and a single design (:func:`figures_of_merit`)
+is the same call on a scalar diameter, a one-element block, so both give
+the same bits.  Each refinement scan asks for its objective's column alone.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import NonFiniteInput, NonPositiveRate, UnsupportedRegime
-from .linear import _fixed_point, t0_prime
+from .linear import _fixed_point
 from .model import ColumnRecord, SystemParams, _blockwise
 
 DEFAULT_EPSILON = 0.007        # etching-quality parameter, um
@@ -162,10 +162,10 @@ def _columns(design: PillarDesign, d, field_model: FieldProfileModel,
     ``names`` holds one of its columns.  f follows from the Purcell factor
     through f = F_p / (loss_ratio + 2 gamma_star_ratio).  T_min is |t|^2
     of the steady-state kernel at zero drive and T_max that of its
-    empty-cavity limit -(Q/Q0) t0'(0), for the rates that
-    params_from_ratios(1, 500, Q/Q0, f) gives: Q/Q0 and 1/f make its round
-    trip through gamma_cav and gamma_at, and the resonant values depend on
-    (Q/Q0, f) only.
+    saturated limit -(Q/Q0) t0'(0), the empty cavity, from one kernel call
+    at the rates that params_from_ratios(1, 500, Q/Q0, f) gives: Q/Q0 and
+    1/f make its round trip through gamma_cav and gamma_at, and the
+    resonant values depend on (Q/Q0, f) only.
 
     A block is refused at its first diameter where eta, or with the
     response stage contrast + eta, is not finite.  fp, eta and beta_sq are
@@ -197,10 +197,10 @@ def _columns(design: PillarDesign, d, field_model: FieldProfileModel,
             if response:
                 params = SystemParams(1.0, 500.0, gamma_at=q_ratio / f,
                                       gamma_cav=1000.0 * (1.0 / q_ratio - 1.0))
-                t_max = np.abs(params.q_ratio * t0_prime(0.0, params)) ** 2
+                _, _, _, _, t, _, t_sat = _fixed_point(0.0, 0.0, params)
+                t_max = np.abs(t_sat) ** 2
                 # T_min <= T_max; the clip only removes a last-bit excess.
-                t_min = np.minimum(
-                    np.abs(_fixed_point(0.0, 0.0, params)[4]) ** 2, t_max)
+                t_min = np.minimum(np.abs(t) ** 2, t_max)
                 columns.update(t_max=t_max, t_min=t_min,
                                contrast=t_max - t_min)
                 check = columns["contrast"] + check

@@ -1132,22 +1132,49 @@ def test_nan_columns_are_domain_errors(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv, code", [
-    # t0' = 1/(1 + i delta/kappa) overflows below kappa of about 5.6e-309.
-    (["spectrum", "--kappa", "1e-320"], 3),
+    # The empty cavity is the kernel's saturated limit, in its 4^-k
+    # scaling: at kappa = 1e-320 cap_t0 is that of kappa = 1 (was NaN,
+    # exit 3, from an unscaled t0' = 1/(1 + i delta/kappa)).
+    (["spectrum", "--kappa", "1e-320", "--grid", "-2:2:5"], 0),
     (["bistability", "--kappa", "1e-320"], 2),
     (["bistability", "--delta", "1e300", "--kappa", "1e-300"], 3),
     # The norm of the equations of motion overflows.
     (["dynamics", "--duration", "1", "--samples", "3", "--gamma-over-kappa",
-      "1e308", "--power", "1e308"], 3)])
+      "1e308", "--power", "1e308"], 3),
+    # P_t/P_c and P_r/P_c are 0/0 (a NaN column).
+    (["saturation", "--gamma-at", "1e308", "--delta", "2.5"], 3),
+    # The default duration 20/gamma overflows.
+    (["dynamics", "--kappa", "1e-306", "--gamma", "5e-308", "--samples",
+      "3"], 2)])
 def test_rates_outside_the_float_range_print_no_numpy_warning(
         tmp_path, capsys, argv, code):
     out = tmp_path / "o.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run(argv + ["--out", str(out)]) == code
+    if code == 0:
+        header, rows = read_csv(out)
+        cap_t0 = [row[header.index("cap_t0")] for row in rows]
+        assert cap_t0 == pytest.approx([0.2, 0.5, 1.0, 0.5, 0.2], abs=1e-15)
+        return
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith(("error: ", "onedatom: error: "))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("rates, flags", [
+    (["--gamma", "5e-308"], "--gamma"),
+    (["--gamma-over-kappa", "0.05"], "--gamma-over-kappa/--kappa")])
+def test_an_overflowing_default_duration_names_its_flags(tmp_path, capsys,
+                                                         rates, flags):
+    # The default duration 20/gamma is inf: a usage error (was an
+    # OverflowError traceback from the propagator).
+    out = tmp_path / "traj.csv"
+    assert run(["dynamics", "--kappa", "1e-306", *rates, "--samples", "3",
+                "--out", str(out)]) == 2
+    assert (f"error: --duration/{flags} must be valid: duration must be "
+            "finite, got inf") in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", [

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.integrate import ode, solve_ivp
 from scipy.linalg import expm
 
 from onedatom import (BlochState, DomainError, DriveField, InvalidInitial,
-                      NoConvergence, NonPositiveRate,
+                      NoConvergence, NonFiniteInput, NonPositiveRate,
                       StepCollapse, UnsupportedRegime, critical_power,
                       make_params,
                       output_amplitudes, params_from_ratios, phi_ideal,
@@ -114,6 +115,15 @@ def test_invalid_initial_rejected():
         integrate(NO_DRIVE, IDEAL, BlochState.ground(), 0.0)
     with pytest.raises(NonPositiveRate):
         settle(NO_DRIVE, IDEAL, 0.0)
+
+
+@pytest.mark.parametrize("duration", [math.inf, -math.inf, math.nan])
+def test_integrate_refuses_a_non_finite_duration(duration):
+    # inf was a numpy warning and a bare OverflowError from the propagator.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteInput, match="duration"):
+            integrate(NO_DRIVE, IDEAL, BlochState.ground(), duration)
 
 
 def test_settle_no_convergence_for_glacial_system():
@@ -503,6 +513,14 @@ def test_solver_reports_squarings():
 def test_integrate_rejects_fewer_than_two_samples(samples):
     drive = DriveField.from_power(0.0, 0.25)
     with pytest.raises(NonPositiveRate, match="samples"):
+        integrate(drive, IDEAL, BlochState.ground(), 10.0, samples=samples)
+
+
+@pytest.mark.parametrize("samples", [2.9, 1000.5, math.inf])
+def test_integrate_refuses_a_fractional_sample_count(samples):
+    # 2.9 gave 2 samples.
+    drive = DriveField.from_power(0.0, 0.25)
+    with pytest.raises(DomainError, match="samples"):
         integrate(drive, IDEAL, BlochState.ground(), 10.0, samples=samples)
 
 

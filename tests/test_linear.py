@@ -248,9 +248,10 @@ def test_transmission_keeps_the_grid_shape():
 
 
 def _mp_fixed_point(dw, b_in, params):
-    """(p_c, x, s_z, s, t, r) at 50 digits: the fixed point of the affine
-    cavity-eliminated Bloch equations by a 3x3 linear solve, and t from
-    the port amplitude b_t = -(Q/Q0) t0' (b_in + i sqrt(gamma/2) s)."""
+    """(p_c, x, s_z, s, t, r, t_sat) at 50 digits: the fixed point of the
+    affine cavity-eliminated Bloch equations by a 3x3 linear solve, t from
+    the port amplitude b_t = -(Q/Q0) t0' (b_in + i sqrt(gamma/2) s), and
+    its saturated limit t_sat = -(Q/Q0) t0' (s -> 0 as x -> inf)."""
     with mpmath.workdps(50):
         g, k = mpmath.mpf(params.gamma), mpmath.mpf(params.kappa)
         q = 1 / (1 + mpmath.mpf(params.gamma_cav) / (2 * k))
@@ -266,7 +267,7 @@ def _mp_fixed_point(dw, b_in, params):
         s = mpmath.mpc(s_r, s_i)
         x = -1 / (2 * s_z) - 1
         t = -q * t0p * (b_in + 1j * mpmath.sqrt(g / 2) * s) / b_in
-        return abs(b_in) ** 2 / x, x, s_z, s, t, 1 + t
+        return abs(b_in) ** 2 / x, x, s_z, s, t, 1 + t, -q * t0p
 
 
 @pytest.mark.parametrize("kappa", [1e-300, 1.0, 1e300, 1e308])
@@ -280,7 +281,8 @@ def test_kernel_matches_a_50_digit_fixed_point(kappa, dw_k, x):
     dw, b_in = dw_k * kappa, math.sqrt(0.25 * x * params.gamma)
     got = _fixed_point(dw, b_in, params)
     want = _mp_fixed_point(mpmath.mpf(dw), mpmath.mpf(b_in), params)
-    for name, g, w in zip(("p_c", "x", "s_z", "s", "t", "r"), got, want):
+    for name, g, w in zip(("p_c", "x", "s_z", "s", "t", "r", "t_sat"),
+                          got, want, strict=True):
         assert abs(g - complex(w)) <= 1e-13 * abs(complex(w)), name
 
 
@@ -332,9 +334,9 @@ def rescalable_systems(draw):
 @settings(max_examples=200, deadline=None)
 @given(system=rescalable_systems(), j=st.integers(-400, 511))
 def test_kernel_is_exactly_scale_free(system, j):
-    # Every rate times 4^j (an exact scaling) leaves x, s_z, s, t and r
-    # bit for bit and multiplies p_c by exactly 4^j (inf beyond the float
-    # range), up to rates of 1e308.
+    # Every rate times 4^j (an exact scaling) leaves x, s_z, s, t, r and
+    # t_sat bit for bit and multiplies p_c by exactly 4^j (inf beyond the
+    # float range), up to rates of 1e308.
     params, dw, x = system
     params = dataclasses.replace(params, gamma_star=abs(params.gamma_star))
     scaled = SystemParams(*(math.ldexp(getattr(params, f.name), 2 * j)
