@@ -336,7 +336,8 @@ def _cmd_dynamics(ns, parser):
         if ns.settle:
             settled = dynamics.settle(drive, params, ns.settle_tol,
                                       full_system=ns.full_system)
-            duration = settled.time
+            if ns.duration is None:
+                duration = settled.time
             s, s_z = settled.state.s, settled.state.s_z
             fixed = nonlinear.steady_state(drive, params)
             # With --full-system the gap is the error of the elimination.
@@ -526,8 +527,8 @@ _COMMANDS = {
         ("--power", float, None, "[0, inf)", "drive power (photons/s)", None),
         ("--delta-omega", float, 0.0, "(-inf, inf)", "emitter-drive detuning",
          "delta_omega"),
-        ("--duration", float, None, "(0, inf)",
-         "integration time (default 20/gamma)", None),
+        ("--duration", float, None, "(0, inf)", "integration time "
+         "(default 20/gamma, or the settled time with --settle)", None),
         ("--samples", int, 1001, f"[2, {MAX_POINTS}]",
          "number of output samples, an integer >= 2 (default 1001)",
          "samples"),

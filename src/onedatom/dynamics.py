@@ -7,7 +7,8 @@ z(t + h) = exp(M h) z(t) exactly: `integrate` takes one exp(M h) per
 distinct sample spacing h (Pade-13 scaling and squaring, in numpy) and
 about log2(rows) array products per 4096-row block of equally spaced
 samples, by doubling; only the number of squarings in exp(M h) grows, as
-the logarithm of the fastest rate times h.
+the logarithm of the fastest rate times h.  `settle` fills its 5/gamma
+windows by the same doubling and stops once the filled ones hold its answer.
 
 The default description is the cavity-eliminated dipole equations (valid
 in the bad-cavity regime, gamma << kappa); their damping terms carry the
@@ -212,13 +213,11 @@ def _master(drive: DriveField, params: SystemParams, initial: BlochState,
                    read, n)
 
 
-def _propagate(drive: DriveField, params: SystemParams,
-               initial: BlochState, full_system: bool, steps):
-    """(s, s_z, <a>, squarings, Fock states) at the times that ``steps``
-    reach from 0, with one exp(M h) per distinct step h and about log2(n)
-    products per run of n equal steps in a block.  The full system
-    runs on 3, 4, ... FOCK_MAX Fock states and returns from the first whose
-    top state stays below FOCK_TAIL at every sample."""
+def _ladder(drive: DriveField, params: SystemParams, initial: BlochState,
+            full_system: bool):
+    """The systems to propagate in turn, until one's top Fock state stays
+    below FOCK_TAIL: the eliminated equations, or the master equation on
+    3, 4, ... FOCK_MAX Fock states.  Past the last cutoff it raises."""
     if np.ndim(drive.delta_omega) or np.ndim(drive.b_in):
         raise UnsupportedRegime("the Bloch equations take a scalar drive, "
                                 "not an array sweep")
@@ -227,7 +226,7 @@ def _propagate(drive: DriveField, params: SystemParams,
         y0 = np.array([initial.s.real, initial.s.imag, initial.s_z])
         read = np.array([[1.0, 1j, 0.0], [0.0, 0.0, 1.0], [0.0] * 3,
                          [0.0] * 3])
-        systems = [_System(matrix, fixed, y0, 0.0, read, None)]
+        yield _System(matrix, fixed, y0, 0.0, read, None)
     else:
         # The cavity starts in the coherent state at its adiabatic value;
         # the cutoffs whose top state it already fills are skipped.
@@ -239,53 +238,28 @@ def _propagate(drive: DriveField, params: SystemParams,
             coherent = np.cumprod(
                 [1.0] + [alpha / math.sqrt(k) for k in range(1, FOCK_MAX)])
             weights = np.abs(coherent) ** 2
-        systems = (_master(drive, params, initial, coherent[:n], slowest)
-                   for n in range(3, FOCK_MAX + 1)
-                   if weights[n - 1] < FOCK_TAIL * weights[:n].sum())
-    for system in systems:
-        # powers[h][i] is exp(M h)^(2^i), squared up from the last as needed.
-        powers, squarings, z = {}, 0, system.y0 - system.fixed
-
-        # Read off in blocks: the master equation's state has up to 256
-        # entries per sample, and a run up to 10^7 samples.
-        def block(_, dt):               # dt: the block's steps
-            nonlocal squarings, z
-            y = np.empty((dt.size, z.size), z.dtype)
-            # Each run [k, stop) of equal steps h by doubling: row k is
-            # exp(M h) z, and rows [k + m, k + 2m) are rows [k, k + m) times
-            # exp(M h)^m, so a run costs about log2(stop - k) products.
-            cuts = (np.flatnonzero(dt[1:] != dt[:-1]) + 1).tolist()
-            hs = dt.tolist()
-            for k, stop in zip([0] + cuts, cuts + [dt.size]):
-                h = hs[k]
-                if not h:
-                    y[k:stop] = z
-                    continue
-                if h not in powers:
-                    e, n = _expm(system.m, h, system.sink)
-                    powers[h] = [e]
-                    squarings += n
-                power = powers[h]
-                y[k] = power[0] @ z
-                m, i = 1, 0
-                while k + m < stop:
-                    if i == len(power):
-                        power.append(power[-1] @ power[-1])
-                    rows = min(m, stop - k - m)
-                    y[k + m:k + m + rows] = y[k:k + rows] @ power[i].T
-                    m, i = 2 * m, i + 1
-                z = y[stop - 1]
-            z = z.copy()                # frees the block
-            s, s_z, a, top = ((y + system.fixed) @ system.read.T).T
-            return s, s_z.real, a, top.real
-
-        s, s_z, a, top = _blockwise((steps,), (complex, float, complex, float),
-                                    block)
-        if not np.max(top) >= FOCK_TAIL:    # callers report a NaN
-            return s, s_z, a, squarings, system.fock_levels
+        for n in range(3, FOCK_MAX + 1):
+            if weights[n - 1] < FOCK_TAIL * weights[:n].sum():
+                yield _master(drive, params, initial, coherent[:n], slowest)
     raise UnsupportedRegime(
         f"the full system needs more than {FOCK_MAX} Fock states to keep "
         f"the top one below {FOCK_TAIL:g} of the population")
+
+
+def _fill(y, k, stop, z, power):
+    """Rows [k, stop) of y, equal steps h from z, by doubling: row k is
+    exp(M h) z, and rows [k + m, k + 2m) are rows [k, k + m) times
+    exp(M h)^m = power[log2 m], squared up from the last as needed.
+    Yields the end of the rows filled after each product."""
+    y[k] = power[0] @ z
+    m, i = 1, 0
+    while k + m < stop:
+        if i == len(power):
+            power.append(power[-1] @ power[-1])
+        rows = min(m, stop - k - m)
+        y[k + m:k + m + rows] = y[k:k + rows] @ power[i].T
+        m, i = 2 * m, i + 1
+        yield min(k + m, stop)
 
 
 def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
@@ -336,8 +310,38 @@ def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
             raise DomainError("samples must be finite, strictly increasing "
                               f"times in [0, {duration:g}]")
         steps = np.diff(times, prepend=0.0)
-    s, s_z, a, squarings, fock_levels = _propagate(
-        drive, params, initial, full_system, steps)
+    # On the first system of the ladder whose top state stays below
+    # FOCK_TAIL at every sample; powers[h] lists exp(M h)^(2^i) for `_fill`.
+    for system in _ladder(drive, params, initial, full_system):
+        powers, squarings, z = {}, 0, system.y0 - system.fixed
+
+        # Read off in blocks: the master equation's state has up to 256
+        # entries per sample, and a run up to 10^7 samples.
+        def block(_, dt):               # dt: the block's steps
+            nonlocal squarings, z
+            y = np.empty((dt.size, z.size), z.dtype)
+            cuts = (np.flatnonzero(dt[1:] != dt[:-1]) + 1).tolist()
+            hs = dt.tolist()
+            for k, stop in zip([0] + cuts, cuts + [dt.size]):
+                h = hs[k]
+                if not h:
+                    y[k:stop] = z
+                    continue
+                if h not in powers:
+                    e, n = _expm(system.m, h, system.sink)
+                    powers[h] = [e]
+                    squarings += n
+                for _ in _fill(y, k, stop, z, powers[h]):
+                    pass
+                z = y[stop - 1]
+            z = z.copy()                # frees the block
+            s, s_z, a, top = ((y + system.fixed) @ system.read.T).T
+            return s, s_z.real, a, top.real
+
+        s, s_z, a, top = _blockwise((steps,), (complex, float, complex, float),
+                                    block)
+        if not np.max(top) >= FOCK_TAIL:    # a NaN is reported below
+            break
     finite = np.isfinite(s) & np.isfinite(s_z)
     if not finite.all():
         raise StepCollapse("propagation produced a non-finite state at "
@@ -350,13 +354,15 @@ def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
         b_t, b_r = output_amplitudes(s, drive, params)
     return Trajectory(times=times, s=s, s_z=s_z, b_t=np.asarray(b_t),
                       b_r=np.asarray(b_r), a=a, squarings=squarings,
-                      fock_levels=fock_levels)
+                      fock_levels=system.fock_levels)
 
 
 #: Window (in units of 1/gamma) over which settle compares successive states.
 SETTLE_WINDOW = 5.0
 #: Time budget (in units of 1/gamma) before settle gives up.
 SETTLE_MAX_TIME = 1e3
+#: Rows (windows 0-16) settle fills before its first check.
+_FIRST_CHECK = 17
 
 
 @dataclass(frozen=True)
@@ -377,10 +383,16 @@ def settle(drive: DriveField, params: SystemParams, tol=1e-9, *,
     One exp(M window) (window = 5/gamma) steps the state from one window
     boundary to the next, up to t = 1000/gamma.  Returns the state at the
     first boundary where the componentwise change of (Re s, Im s, s_z)
-    over one window is below ``tol``.
+    over one window is below ``tol``.  The boundaries are filled by
+    doubling and checked once windows 0-16 are filled, then after each
+    doubling, so settle stops at the first check that holds its settled
+    window.  The full system runs on the fewest Fock states whose top
+    state stays below FOCK_TAIL at every window filled by then.
 
     Raises
     ------
+    NonPositiveRate
+        If ``tol`` is not > 0.
     NoConvergence
         If the change is still above ``tol`` at t = 1000/gamma.
     StepCollapse
@@ -391,20 +403,32 @@ def settle(drive: DriveField, params: SystemParams, tol=1e-9, *,
     if not tol > 0.0:
         raise NonPositiveRate(f"tol must be > 0, got {tol}")
     window = SETTLE_WINDOW / params.gamma
-    steps = np.full(int(round(SETTLE_MAX_TIME / SETTLE_WINDOW)) + 1, window)
-    steps[0] = 0.0
-    s, s_z, _, squarings, fock_levels = _propagate(
-        drive, params, BlochState.ground(), full_system, steps)
-    change = np.max(np.abs(np.diff([s.real, s.imag, s_z])), axis=0)
-    # The first window whose change is below tol or not a number.
-    k = 1 + int(np.argmax(~(change >= tol)))
-    if not change[k - 1] < tol:
-        if math.isnan(change[k - 1]):
-            raise StepCollapse("propagation produced a non-finite state by "
-                               f"t={k * window:g}")
-        raise NoConvergence(
-            f"state still changing by more than tol={tol} after "
-            f"{SETTLE_MAX_TIME:g}/gamma")
-    return SettleResult(state=BlochState(complex(s[k]), float(s_z[k])),
-                        time=k * window, windows=k, squarings=squarings,
-                        fock_levels=fock_levels)
+    stop = int(round(SETTLE_MAX_TIME / SETTLE_WINDOW)) + 1
+    for system in _ladder(drive, params, BlochState.ground(), full_system):
+        e, squarings = _expm(system.m, window, system.sink)
+        z = system.y0 - system.fixed
+        y = np.zeros((stop, z.size), z.dtype)
+        y[0] = z
+        for filled in _fill(y, 1, stop, z, [e]):
+            if filled < _FIRST_CHECK:
+                continue
+            # Every row is read off, so that a filled row rounds as in a
+            # product over all windows, whatever the rows filled so far.
+            s, s_z, _, top = ((y + system.fixed) @ system.read.T)[:filled].T
+            if np.max(top.real) >= FOCK_TAIL:   # the next cutoff; NaN passes
+                break
+            change = np.max(np.abs(np.diff([s.real, s.imag, s_z.real])), 0)
+            # The first window whose change is below tol or not a number.
+            k = 1 + int(np.argmax(~(change >= tol)))
+            if change[k - 1] >= tol:
+                continue
+            if math.isnan(change[k - 1]):
+                raise StepCollapse("propagation produced a non-finite "
+                                   f"state by t={k * window:g}")
+            state = BlochState(complex(s[k]), float(s_z[k].real))
+            return SettleResult(state, k * window, k, squarings,
+                                system.fock_levels)
+        else:
+            raise NoConvergence(
+                f"state still changing by more than tol={tol} after "
+                f"{SETTLE_MAX_TIME:g}/gamma")

@@ -242,6 +242,22 @@ def test_dynamics_settle_manifest(tmp_path):
     assert settled["windows"] == 7
 
 
+def test_dynamics_settle_honours_a_given_duration(tmp_path):
+    # --settle used to replace --duration by the settled time (35 here)
+    # without a word; without the flag the settled time stays the default.
+    argv = ["dynamics", "--x", "1", "--kappa", "500", "--samples", "5",
+            "--settle"]
+    given, default = tmp_path / "given.csv", tmp_path / "default.csv"
+    assert run([*argv, "--duration", "3", "--out", str(given)]) == 0
+    assert run([*argv, "--out", str(default)]) == 0
+    manifest = read_manifest(given)
+    assert manifest["options"]["duration"] == 3.0
+    assert manifest["results"]["settled"]["time"] == 35.0
+    assert read_csv(given)[1][-1][0] == 3.0
+    assert read_manifest(default)["options"]["duration"] == 35.0
+    assert read_csv(default)[1][-1][0] == 35.0
+
+
 def test_dynamics_manifest_solver_diagnostics(tmp_path):
     out = tmp_path / "settle.csv"
     assert run(["dynamics", "--x", "1", "--settle", "--samples", "5",

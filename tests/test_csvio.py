@@ -1,5 +1,7 @@
 import io
 import math
+import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -149,6 +151,41 @@ def test_files_of_one_row_and_around_a_block(n):
 
 
 def test_non_real_values_are_refused():
-    for column in (np.array([1 + 2j]), ["1.5"]):
+    # Object columns: numpy's float conversion took "1.5" as 1.5 and None
+    # as nan, where "%.17g" raises.
+    for column in (np.array([1 + 2j]), ["1.5"],
+                   np.array(["1.5", 2.0], dtype=object),
+                   np.array([None], dtype=object),
+                   np.array([b"1"], dtype=object)):
         with pytest.raises(TypeError):
             write_csv(io.StringIO(), ("v",), (column,))
+    # The object entries "%.17g" takes keep its bytes.
+    accepted = np.array([True, np.True_, Decimal("1.5"), 2 ** 70],
+                        dtype=object)
+    assert written(("v",), (accepted,)) == (
+        "v\n1\n1\n1.5\n1.1805916207174113e+21\n")
+
+
+class Discard:
+    def write(self, text):
+        return len(text)
+
+
+def test_transient_memory_does_not_grow_with_the_row_count():
+    # The README's figure: a ten-column file costs the writer one chunk's
+    # work arrays plus one block's text, about 1.8 MiB by tracemalloc.
+    header = tuple(f"c{j}" for j in range(10))
+    write_csv(Discard(), header, [np.ones(1)] * 10)     # builds the tables
+    peaks = []
+    for n in (5_000, 50_000):
+        rng = np.random.default_rng(n)
+        columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+                   for _ in header]
+        tracemalloc.start()
+        try:
+            assert write_csv(Discard(), header, columns) == n
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.01 * peaks[0]
+    assert max(peaks) < 2 * 2 ** 20

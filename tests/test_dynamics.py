@@ -2,7 +2,6 @@ import dataclasses
 import io
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -739,12 +738,21 @@ def _eliminated_system(drive, params, initial):
     return dynamics._System(a, fixed, y0, 0.0, read, None)
 
 
-def _loop_propagate(drive, params, initial, full_system, steps):
-    """`dynamics._propagate` for the eliminated equations, by the loop."""
-    assert not full_system
-    s, s_z, a, _ = _loop_states(_eliminated_system(drive, params, initial),
-                                steps)
-    return s, s_z, a, 0, None
+def _loop_settle(drive, params, tol=1e-9):
+    """`settle` of the eliminated equations by the per-sample loop over all
+    201 windows: (state, time, windows) at the first window whose change
+    is below tol."""
+    window = SETTLE_WINDOW / params.gamma
+    steps = np.full(201, window)
+    steps[0] = 0.0
+    s, s_z, _, _ = _loop_states(
+        _eliminated_system(drive, params, BlochState.ground()), steps)
+    below = np.flatnonzero(
+        np.max(np.abs(np.diff([s.real, s.imag, s_z])), axis=0) < tol)
+    if not below.size:
+        raise NoConvergence(f"still changing after {steps.sum():g}")
+    k = int(below[0]) + 1
+    return BlochState(complex(s[k]), float(s_z[k])), k * window, k
 
 
 def _uniform_steps(duration, samples):
@@ -764,34 +772,37 @@ _STRONG = make_params(1.0, 500.0, delta=150.0)
 _LEAKY = params_from_ratios(1.0, 500.0, q_ratio=0.95, f=20.0, delta=30.0)
 
 
-@pytest.mark.parametrize("params, x, dw, steps, fock_levels", [
-    (_STRONG, 50.0, 2.7, _uniform_steps(20.0, 1001), None),
-    (_STRONG, 50.0, 2.7, _uniform_steps(20.0, 10001), None),  # 4096-row blocks
-    (_STRONG, 50.0, 2.7, np.diff(_EXPLICIT, prepend=0.0), None),
-    (_LEAKY, 0.3, -1.0, _uniform_steps(40.0, 1001), None),
-    (_LEAKY, 1e-3, 0.5, _uniform_steps(20.0, 1001), 3),
-    (_LEAKY, 0.3, 0.5, _uniform_steps(20.0, 1001), 4),
-    (_LEAKY, 3.0, 0.0, _uniform_steps(20.0, 1001), 5),
-    (_LEAKY, 3.0, 0.0, _uniform_steps(20.0, 10001), 5),
-    (_LEAKY, 0.3, 0.5, np.diff(_EXPLICIT, prepend=0.0), 4),
+@pytest.mark.parametrize("params, x, dw, duration, samples, fock_levels", [
+    (_STRONG, 50.0, 2.7, 20.0, 1001, None),
+    (_STRONG, 50.0, 2.7, 20.0, 10001, None),  # 4096-row blocks
+    (_STRONG, 50.0, 2.7, 40.0, _EXPLICIT, None),
+    (_LEAKY, 0.3, -1.0, 40.0, 1001, None),
+    (_LEAKY, 1e-3, 0.5, 20.0, 1001, 3),
+    (_LEAKY, 0.3, 0.5, 20.0, 1001, 4),
+    (_LEAKY, 3.0, 0.0, 20.0, 1001, 5),
+    (_LEAKY, 3.0, 0.0, 20.0, 10001, 5),
+    (_LEAKY, 0.3, 0.5, 40.0, _EXPLICIT, 4),
 ], ids=["eliminated-1001", "eliminated-10001", "eliminated-explicit",
         "eliminated-leaky", "fock3-1001", "fock4-1001", "fock5-1001",
         "fock5-10001", "fock4-explicit"])
-def test_doubling_matches_the_per_sample_loop(params, x, dw, steps,
-                                              fock_levels):
+def test_doubling_matches_the_per_sample_loop(params, x, dw, duration,
+                                              samples, fock_levels):
     drive = DriveField.from_power(dw, x * critical_power(dw, params))
-    s, s_z, a, _, levels = dynamics._propagate(
-        drive, params, BlochState.ground(), fock_levels is not None, steps)
-    assert levels == fock_levels
+    traj = integrate(drive, params, BlochState.ground(), duration,
+                     samples=samples, full_system=fock_levels is not None)
+    assert traj.fock_levels == fock_levels
     if fock_levels:
-        system = _master_system(drive, params, levels)
+        system = _master_system(drive, params, fock_levels)
     else:
         system = _eliminated_system(drive, params, BlochState.ground())
+    steps = (_uniform_steps(duration, samples) if np.isscalar(samples)
+             else np.diff(samples, prepend=0.0))
     want_s, want_s_z, want_a, _ = _loop_states(system, steps)
-    assert s.shape == want_s.shape == (steps.size,)
-    assert np.max(np.abs(s - want_s)) <= 1e-13
-    assert np.max(np.abs(s_z - want_s_z)) <= 1e-13
-    assert np.max(np.abs(a - want_a)) <= 1e-13
+    assert traj.s.shape == want_s.shape == (steps.size,)
+    assert np.max(np.abs(traj.s - want_s)) <= 1e-13
+    assert np.max(np.abs(traj.s_z - want_s_z)) <= 1e-13
+    if fock_levels:
+        assert np.max(np.abs(traj.a - want_a)) <= 1e-13
 
 
 @settings(max_examples=300, deadline=None)
@@ -800,21 +811,90 @@ def test_settle_matches_the_per_sample_loop(system):
     # The same windows, and the same state to rounding, or the same error.
     drive, params = system
 
-    def outcome():
+    def outcome(solve):
         try:
-            return settle(drive, params)
+            return solve(drive, params)
         except (NoConvergence, UnsupportedRegime) as err:
             return type(err)
 
-    got = outcome()
-    with mock.patch.object(dynamics, "_propagate", _loop_propagate):
-        want = outcome()
+    got, want = outcome(settle), outcome(_loop_settle)
     if isinstance(want, type):
         assert got is want
         return
-    assert (got.windows, got.time) == (want.windows, want.time)
-    assert abs(got.state.s - want.state.s) <= 1e-14
-    assert abs(got.state.s_z - want.state.s_z) <= 1e-14
+    state, time, windows = want
+    assert (got.windows, got.time) == (windows, time)
+    assert abs(got.state.s - state.s) <= 1e-14
+    assert abs(got.state.s_z - state.s_z) <= 1e-14
+
+
+def _settle_on_every_window(drive, params, tol, *, full_system):
+    """`settle` by its rule before it stopped early: the states at all 201
+    window boundaries, on the Fock cutoff that holds at every one."""
+    window = SETTLE_WINDOW / params.gamma
+    traj = integrate(drive, params, BlochState.ground(), 200 * window,
+                     samples=201, full_system=full_system)
+    assert traj.times[1] == window
+    change = np.max(np.abs(np.diff([traj.s.real, traj.s.imag, traj.s_z])),
+                    axis=0)
+    k = 1 + int(np.argmax(~(change >= tol)))
+    if not change[k - 1] < tol:
+        raise NoConvergence(f"still changing after {traj.times[-1]:g}")
+    return SettleResult(traj.state_at(k), k * window, k, traj.squarings,
+                        traj.fock_levels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=driven_systems(), full_system=st.booleans(),
+       tol=st.sampled_from([1e-12, 1e-9, 1e-6]))
+def test_settle_stops_early_with_the_result_of_every_window(
+        system, full_system, tol):
+    # Windows, time, squarings, Fock states and the state bit for bit, or
+    # the same error.
+    drive, params = system
+
+    def outcome(solve):
+        try:
+            return solve(drive, params, tol, full_system=full_system)
+        except (NoConvergence, StepCollapse, UnsupportedRegime) as err:
+            return type(err)
+
+    assert repr(outcome(settle)) == repr(outcome(_settle_on_every_window))
+
+
+_SLOW = params_from_ratios(1.0, 500.0, q_ratio=0.1, f=math.inf)
+_SLOWER = params_from_ratios(1.0, 500.0, q_ratio=0.05, f=math.inf)
+_GLACIAL = params_from_ratios(1.0, 500.0, q_ratio=0.02, f=math.inf)
+
+
+@pytest.mark.parametrize("params, tol, full_system, windows", [
+    (IDEAL, 1e-9, False, 8), (IDEAL, 1e-9, True, 8), (_SLOW, 1e-4, False, 27),
+    (_SLOW, 1e-9, False, 60), (_SLOWER, 1e-9, False, 118),
+    (_SLOWER, 1e-12, False, 161), (_GLACIAL, 1e-9, False, None)],
+    ids=["ideal", "ideal-full-system", "slow-loose", "slow", "slower",
+         "slower-tight", "glacial"])
+def test_settle_fills_no_doubling_past_its_settled_window(
+        monkeypatch, params, tol, full_system, windows):
+    # settle checks once rows 0-16 are filled, then after each doubling
+    # (rows 0-32, 0-64, 0-128, 0-200); counted through the shared fill, no
+    # cutoff fills a row past the first level that holds the answer.
+    fill, ends = dynamics._fill, []
+
+    def counting_fill(*args):
+        for end in fill(*args):
+            ends.append(end)
+            yield end
+
+    monkeypatch.setattr(dynamics, "_fill", counting_fill)
+    drive = DriveField.from_power(0.3, 2.0 * critical_power(0.3, params))
+    if windows is None:
+        with pytest.raises(NoConvergence):
+            settle(drive, params, tol)
+        assert max(ends) == 201
+        return
+    res = settle(drive, params, tol, full_system=full_system)
+    assert res.windows == windows
+    assert max(ends) == min(end for end in (17, 33, 65, 129, 201)
+                            if end > windows)
 
 
 # ---------------------------------------------------------------------------
