@@ -106,7 +106,7 @@ def bistability_scan(params: SystemParams, fraction_a, x_grid) -> BistabilityRes
     drives x +- h give a central difference, h = 1e-5 (1+x) where that is
     at most x/2, else 1e-5 x (at least the least float), taken on P_t
     scaled by 2^(2-e), gamma = m 2^e, so a subnormal P_t keeps its bits.
-    A block of `csvio.BLOCK_ROWS` points is one kernel call on its three
+    A block of `model.BLOCK_ROWS` points is one kernel call on its three
     drives, refused by `model._drive_power`; ``max_slope`` and the
     verdicts come from the assembled columns.  A fraction A gives a unique
     solution if P_0 = P_e - A P_t increases strictly over the grid,
@@ -177,7 +177,7 @@ def contrast_enhancement(x, extinction_in, params: SystemParams) -> ReshapeResul
     (|t(x)/t(x/d)|/sqrt(d))^2 from the kernel's resonant amplitudes; at
     x = 0 it is the limit, d if t(0) = 0 (no emitter loss), else 1/d.
     ``x`` may be an array of saturations, evaluated a block of
-    `csvio.BLOCK_ROWS` at a time (`model._blockwise`); a scalar gives Python
+    `model.BLOCK_ROWS` at a time (`model._blockwise`); a scalar gives Python
     floats.  `model._drive_power` refuses an x != 0 (a negative one too)
     whose drive power (gamma/4) x is not finite or whose low-pulse power
     (gamma/4) x/d is subnormal.  A ratio beyond the float range is inf.

@@ -251,11 +251,8 @@ def _build_params(ns, parser, *, force_ideal=False):
              for name in ("gamma_at", "gamma_cav", "q_ratio", "f",
                           "gamma_star") if getattr(ns, name) is not None]
     rates = "/".join([flags.split("/")[0], "--kappa", *leaks])
-    if force_ideal:
-        if leaks:
-            parser.error(f"--ideal conflicts with {leaks[0]}")
-        return _api_call(parser, rates, make_params, gamma, kappa,
-                         delta=ns.delta), flags
+    if force_ideal and leaks:
+        parser.error(f"--ideal conflicts with {leaks[0]}")
     if ns.gamma_cav is not None and ns.q_ratio is not None:
         parser.error("--gamma-cav and --q-ratio are mutually exclusive")
     if ns.gamma_at is not None and ns.f is not None:
@@ -266,7 +263,7 @@ def _build_params(ns, parser, *, force_ideal=False):
     q = 1.0 / (1.0 + gamma_cav / (2.0 * kappa))
     gamma_at = ns.gamma_at or 0.0
     if ns.f is not None:
-        gamma_at = 0.0 if math.isinf(ns.f) else q * gamma / ns.f
+        gamma_at = q * gamma / ns.f
     gamma_star = 0.0 if ns.gamma_star is None else ns.gamma_star
     return _api_call(parser, rates, make_params, gamma, kappa, delta=ns.delta,
                      gamma_at=gamma_at, gamma_cav=gamma_cav,
@@ -278,7 +275,7 @@ def _build_params(ns, parser, *, force_ideal=False):
 
 def _cmd_spectrum(ns, parser):
     from .linear import _fixed_point, transmission_leaky
-    from .model import DriveField, _blockwise, _drive_power
+    from .model import DriveField, _blockwise, _drive_power, _outcome_block
     nu = _grid_option(parser, "--grid", ns.grid)
     params, system = _build_params(ns, parser)
     b_in = np.sqrt(_api_call(parser, f"{system}/--x", _drive_power,
@@ -287,14 +284,14 @@ def _cmd_spectrum(ns, parser):
         dw = nu * params.kappa - params.delta
     drive = _api_call(parser, "--grid/--kappa/--delta", DriveField, dw, b_in)
 
-    def block(_, dwb):
+    def block(sl, dwb):
         _, _, _, _, t, r, _ = _fixed_point(dwb, drive.b_in, params)
         empty = transmission_leaky(dwb, params, empty_cavity=True,
                                    evanescent=ns.evanescent)
         t, r = (r, t) if ns.evanescent else (t, r)
-        cap_t, cap_r = np.abs(t) ** 2, np.abs(r) ** 2
-        return (t.real, t.imag, r.real, r.imag, cap_t, cap_r,
-                1.0 - cap_t - cap_r, empty.cap_t)
+        t, r, cap_t, cap_r, _, _, leaks = _outcome_block(sl, t, r, 1.0)
+        return (t.real, t.imag, r.real, r.imag, cap_t, cap_r, leaks,
+                empty.cap_t)
 
     header = ("nu", "delta_omega", "re_t", "im_t", "re_r", "im_r",
               "cap_t", "cap_r", "leaks", "cap_t0")

@@ -7,11 +7,11 @@ produce byte-identical files.  Booleans are written as 1/0 and integers as
 the floats they convert to (without a decimal point below 1e17).
 
 `write_csv` takes the data as equal-length columns (numpy arrays or
-sequences) and writes them in blocks of `BLOCK_ROWS` rows, one write call
-per block.  A block is formatted with numpy array arithmetic in chunks of
-about `CHUNK_VALUES` values, so the transient memory is one chunk's work
-arrays plus the block's text (about 1.8 MiB for ten columns), whatever the
-file size:
+sequences) and checks every column before it writes anything, the header
+included.  It then formats the rows with numpy array arithmetic one chunk
+of at most `CHUNK_VALUES` values at a time, one write call per chunk, so
+the transient memory is one chunk's work arrays and two chunks' text
+(about 1.3 MiB for ten columns), whatever the file size:
 
 * For |v| in [1e-280, 1e280), with k = floor(log10 |v|), the product
   |v| 10^(16-k) is formed as a double-double: 10^(16-k) is a (hi, lo) pair
@@ -39,10 +39,7 @@ from functools import cache
 
 import numpy as np
 
-#: Rows formatted and written per block.
-BLOCK_ROWS = 4096
-#: Values formatted per array pass; a block is split into row chunks of
-#: at most this many values.
+#: Values formatted and written per chunk of rows.
 CHUNK_VALUES = 8192
 
 _SLOTS = 30                  # byte slots per value, separator included
@@ -184,13 +181,15 @@ def _real(column):
 
 
 def write_csv(fh, header, columns) -> int:
-    """Write ``header`` and the equal-length ``columns``; return the row count."""
+    """Write ``header`` and the equal-length ``columns``, all checked
+    before anything is written; return the row count."""
     columns = list(columns)
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header fields but {len(columns)} columns")
     n = len(columns[0]) if columns else 0
     if any(len(c) != n for c in columns):
         raise ValueError("CSV columns differ in length")
+    columns = [_real(c) for c in columns]
     fh.write(",".join(header) + "\n")
     if not n:
         return 0
@@ -199,16 +198,14 @@ def write_csv(fh, header, columns) -> int:
     seps = np.full((chunk, width), ord(","), np.uint8)
     seps[:, -1] = ord("\n")
     seps = seps.ravel()
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        text = []
-        for lo in range(start, stop, chunk):
-            hi = min(lo + chunk, stop)
-            values = np.empty((hi - lo, width))
-            for j, c in enumerate(columns):
-                values[:, j] = _real(c[lo:hi])
-            text.append(_format(values.ravel(), seps[:values.size]))
-        fh.write("".join(text))
+    for lo in range(0, n, chunk):
+        values = np.empty((min(chunk, n - lo), width))
+        for j, c in enumerate(columns):
+            values[:, j] = c[lo:lo + chunk]
+        # `text` keeps the last chunk alive while the next is made; freeing
+        # it first lets malloc trim the heap and fault it back per chunk.
+        text = _format(values.ravel(), seps[:values.size])
+        fh.write(text)
     return n
 
 

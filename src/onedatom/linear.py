@@ -137,7 +137,7 @@ def transmission_leaky(delta_omega, params: SystemParams, *,
     uncoupled cavity transmits instead of reflecting.
 
     ``delta_omega`` may be a scalar or an array, evaluated in blocks of
-    `csvio.BLOCK_ROWS` detunings (`model._blockwise`).  A scalar runs as a
+    `model.BLOCK_ROWS` detunings (`model._blockwise`).  A scalar runs as a
     one-element array through the same numpy operations, so it gives
     bit for bit the entry the array call gives, returned as Python numbers.
     """

@@ -6,7 +6,7 @@ physics is scale free; the CLI defaults normalize ``kappa = 1``.  Input
 amplitudes are in sqrt(photons/s), powers in photons/s.
 
 Every closed form and grid sweep runs through `_blockwise`, which fills
-its output columns one block of `csvio.BLOCK_ROWS` points at a time; a
+its output columns one block of `BLOCK_ROWS` points at a time; a
 scalar is a one-element block.
 """
 
@@ -18,9 +18,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .csvio import BLOCK_ROWS
 from .errors import (InvalidInitial, NonFiniteInput, NonPositiveRate,
                      UnsupportedRegime)
+
+#: Points per block of `_blockwise`.
+BLOCK_ROWS = 4096
 
 #: gamma/kappa threshold under which the adiabatic elimination of the cavity
 #: is considered safe (bad-cavity regime).
@@ -145,12 +147,11 @@ def params_from_ratios(gamma, kappa, q_ratio=1.0, f=math.inf, delta=0.0) -> Syst
     _require_finite("q_ratio", q_ratio)
     if not 0.0 < q_ratio <= 1.0:
         raise NonPositiveRate(f"q_ratio must be in (0, 1], got {q_ratio}")
-    if f != math.inf:
+    if not f > 0.0:
         _require_finite("f", f)
-        if f <= 0.0:
-            raise NonPositiveRate(f"f must be > 0, got {f}")
+        raise NonPositiveRate(f"f must be > 0, got {f}")
     gamma_cav = 2.0 * kappa * (1.0 / q_ratio - 1.0)
-    gamma_at = 0.0 if f == math.inf else q_ratio * gamma / f
+    gamma_at = q_ratio * gamma / f
     return make_params(gamma, kappa, delta=delta, gamma_at=gamma_at,
                        gamma_cav=gamma_cav, gamma_star=0.0)
 
@@ -240,7 +241,7 @@ def _blockwise(values, dtypes, fill):
     filled a block at a time.
 
     ``fill(sl, *blocks)`` gets the flat indices ``sl`` of a block of at
-    most `csvio.BLOCK_ROWS` points (see `_block_slices`) and each value's
+    most `BLOCK_ROWS` points (see `_block_slices`) and each value's
     entries there as a 1-d array (a value with one entry as a one-element
     array, which broadcasts), and returns one value per column; each is
     written into its column, allocated up front.  So a sweep holds its

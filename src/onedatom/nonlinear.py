@@ -169,7 +169,7 @@ def saturation_curve(params: SystemParams, x_grid) -> SaturationCurve:
     4 P_in/gamma, refused by `model._drive_power` (the CLI's check too).
     Points with 0.1 < x_eff < 10 are flagged as semiclassical-caution (the
     factorization is qualitative across the nonlinear jump).  Each block of
-    `csvio.BLOCK_ROWS` points is one call of the kernel `_fixed_point`
+    `model.BLOCK_ROWS` points is one call of the kernel `_fixed_point`
     (`model._blockwise`), and the flags come from the assembled x_eff column.
     """
     xs = np.asarray(x_grid, dtype=float).reshape(-1)

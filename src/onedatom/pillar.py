@@ -15,7 +15,7 @@ cavity-response columns (T_max, T_min and the contrast), the resonant
 transmission in the saturated (empty-cavity) limit and at zero drive of
 one steady-state kernel call.  The response stage runs only when a
 response column is asked for.  A diameter scan asks for every column, in
-blocks of `csvio.BLOCK_ROWS`, and a single design (:func:`figures_of_merit`)
+blocks of `model.BLOCK_ROWS`, and a single design (:func:`figures_of_merit`)
 is the same call on a scalar diameter, a one-element block, so both give
 the same bits.  Each refinement scan asks for its objective's column alone.
 """
@@ -154,7 +154,7 @@ def _columns(design: PillarDesign, d, field_model: FieldProfileModel,
     """The figure-of-merit columns ``names`` at the diameter ``d``, a
     float, or at each of the diameters of the 1-d array ``d`` (finite and
     > 0); ``design`` supplies every other parameter.  A float gives Python
-    floats, an array columns filled a block of `csvio.BLOCK_ROWS`
+    floats, an array columns filled a block of `model.BLOCK_ROWS`
     diameters at a time (`model._blockwise`).
 
     Each block runs the design stage, q, v, fp, f, q_ratio, eta and

@@ -14,7 +14,7 @@ from onedatom import (DephasingUnsupported, NonPositiveRate,
                       empty_cavity_t0, kerr_equivalent, make_params,
                       params_from_ratios, slow_light, switching_intensity,
                       t0_prime)
-from onedatom.csvio import BLOCK_ROWS
+from onedatom.model import BLOCK_ROWS
 
 IDEAL = make_params(gamma=1.0, kappa=500.0)
 

@@ -1,4 +1,4 @@
-"""The grid sweeps evaluate their points in blocks of `csvio.BLOCK_ROWS`.
+"""The grid sweeps evaluate their points in blocks of `model.BLOCK_ROWS`.
 
 Each entry must be the value a call on that point alone gives, bit for
 bit, at and next to every block edge, and a scalar call of every closed
@@ -23,7 +23,7 @@ from onedatom import (DiameterSweep, DriveField, ScatteringOutcome,
                       params_from_ratios, saturation_curve, saturation_point,
                       scatter_nonlinear, steady_state, sweep_diameter,
                       transmission_leaky)
-from onedatom.csvio import BLOCK_ROWS
+from onedatom.model import BLOCK_ROWS
 
 N = 2 * BLOCK_ROWS + 3
 EDGES = (0, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS,

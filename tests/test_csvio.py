@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onedatom.csvio import BLOCK_ROWS, write_csv
+from onedatom.csvio import CHUNK_VALUES, write_csv
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308,
            1.0, 0.1, 1 / 3, -1e300, 123456789.0, 1e17, 2.0 ** 60]
+# Rows per chunk of a file of two columns (4096) and of three (2730).
+ROWS_2, ROWS_3 = CHUNK_VALUES // 2, CHUNK_VALUES // 3
 
 
 class CountingWriter(io.StringIO):
@@ -41,7 +43,7 @@ def test_values_render_with_17_significant_digits():
 
 
 def test_blocks_cross_boundaries_without_changing_bytes():
-    n = 2 * BLOCK_ROWS + 17
+    n = 2 * ROWS_2 + 17
     rng = np.random.default_rng(1)
     a, b = rng.standard_normal(n), rng.standard_normal(n) > 0.0
     buf = CountingWriter()
@@ -49,7 +51,7 @@ def test_blocks_cross_boundaries_without_changing_bytes():
     expected = "a,b\n" + "".join(f"{format(x, '.17g')},{int(y)}\n"
                                  for x, y in zip(a.tolist(), b.tolist()))
     assert buf.getvalue() == expected
-    assert buf.calls == 1 + 3          # the header, then one write per block
+    assert buf.calls == 1 + 3          # the header, then one write per chunk
 
 
 def test_empty_columns_write_the_header_only():
@@ -141,7 +143,8 @@ def test_subnormals_zeros_and_non_finite_values():
     assert_same_as_reference(values)
 
 
-@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n", [1, ROWS_3 - 1, ROWS_3, ROWS_3 + 1,
+                               2 * ROWS_3 + 1, ROWS_2 - 1, ROWS_2, ROWS_2 + 1])
 def test_files_of_one_row_and_around_a_block(n):
     rng = np.random.default_rng(n)
     columns = (rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n),
@@ -156,9 +159,12 @@ def test_non_real_values_are_refused():
     for column in (np.array([1 + 2j]), ["1.5"],
                    np.array(["1.5", 2.0], dtype=object),
                    np.array([None], dtype=object),
-                   np.array([b"1"], dtype=object)):
+                   np.array([b"1"], dtype=object),
+                   np.array([1.0] * 3 * ROWS_2 + [None], dtype=object)):
+        buf = io.StringIO()
         with pytest.raises(TypeError):
-            write_csv(io.StringIO(), ("v",), (column,))
+            write_csv(buf, ("v",), (column,))
+        assert buf.getvalue() == ""     # not even the header
     # The object entries "%.17g" takes keep its bytes.
     accepted = np.array([True, np.True_, Decimal("1.5"), 2 ** 70],
                         dtype=object)
@@ -173,7 +179,7 @@ class Discard:
 
 def test_transient_memory_does_not_grow_with_the_row_count():
     # The README's figure: a ten-column file costs the writer one chunk's
-    # work arrays plus one block's text, about 1.8 MiB by tracemalloc.
+    # work arrays and two chunks' text, about 1.3 MiB by tracemalloc.
     header = tuple(f"c{j}" for j in range(10))
     write_csv(Discard(), header, [np.ones(1)] * 10)     # builds the tables
     peaks = []
@@ -188,4 +194,4 @@ def test_transient_memory_does_not_grow_with_the_row_count():
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 0.01 * peaks[0]
-    assert max(peaks) < 2 * 2 ** 20
+    assert max(peaks) < 1.5 * 2 ** 20
