@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DephasingUnsupported, NonPositiveRate, UnsupportedRegime
+from .errors import (DephasingUnsupported, NonPositiveRate, UnsupportedRegime,
+                     _require)
 from .linear import _fixed_point, transmission_leaky
 from .model import SystemParams, _block_slices, _blockwise, _drive_power
 
@@ -53,8 +54,7 @@ def slow_light(params: SystemParams, n_stages=1) -> SlowLightResult:
         raise UnsupportedRegime("slow_light assumes Q = Q0 (gamma_cav = 0)")
     if params.gamma_star != 0.0:
         raise DephasingUnsupported("slow_light is derived for gamma_star = 0")
-    if n_stages < 1:
-        raise NonPositiveRate(f"n_stages must be >= 1, got {n_stages}")
+    _require("n_stages", n_stages, "[1, inf)", int)
     beta = params.beta
     f = params.f_ratio
     if not params.f_is_infinite:
@@ -183,9 +183,7 @@ def contrast_enhancement(x, extinction_in, params: SystemParams) -> ReshapeResul
     (gamma/4) x/d is subnormal.  A ratio beyond the float range is inf.
     """
     xs = np.asarray(x, dtype=float)
-    if not extinction_in > 1.0:
-        raise NonPositiveRate(f"extinction_in must be > 1, got {extinction_in}")
-    d = float(extinction_in)
+    d = float(_require("extinction_in", extinction_in, "(1, inf)"))
     at_zero = d if params.loss_rate == 0.0 else 1.0 / d
 
     def block(sl, xb):
@@ -218,8 +216,9 @@ def kerr_equivalent(lambda_um, n2_cm2_per_w, intensity_w_per_cm2) -> float:
 
     Solves (2 pi / lambda) L n2 I = pi, so L = lambda / (2 n2 I).
     """
-    if lambda_um <= 0.0 or n2_cm2_per_w <= 0.0 or intensity_w_per_cm2 <= 0.0:
-        raise NonPositiveRate("kerr_equivalent inputs must be > 0")
+    _require("lambda_um", lambda_um, "(0, inf)")
+    _require("n2_cm2_per_w", n2_cm2_per_w, "(0, inf)")
+    _require("intensity_w_per_cm2", intensity_w_per_cm2, "(0, inf)")
     lambda_cm = lambda_um * 1e-4
     denominator = 2.0 * n2_cm2_per_w * intensity_w_per_cm2
     return _in_float_range("length_m", lambda_cm / denominator * 1e-2
@@ -228,8 +227,8 @@ def kerr_equivalent(lambda_um, n2_cm2_per_w, intensity_w_per_cm2) -> float:
 
 def critical_power_watts(gamma_per_s, lambda_um) -> float:
     """Resonant critical power gamma/4 photons/s converted to watts."""
-    if gamma_per_s <= 0.0 or lambda_um <= 0.0:
-        raise NonPositiveRate("gamma and lambda must be > 0")
+    _require("gamma_per_s", gamma_per_s, "(0, inf)")
+    _require("lambda_um", lambda_um, "(0, inf)")
     lambda_m = lambda_um * 1e-6
     photon_energy = PLANCK_J_S * C_LIGHT_M_S / lambda_m if lambda_m else math.inf
     return _in_float_range("p_c_watts", 0.25 * gamma_per_s * photon_energy)
@@ -241,6 +240,7 @@ def switching_intensity(p_c_watts, sigma_cm2, jump_factor=10.0) -> float:
     The jump factor is where the transmission has visibly switched, about
     ten critical powers.
     """
-    if p_c_watts <= 0.0 or sigma_cm2 <= 0.0 or jump_factor <= 0.0:
-        raise NonPositiveRate("switching_intensity inputs must be > 0")
+    _require("p_c_watts", p_c_watts, "(0, inf)")
+    _require("sigma_cm2", sigma_cm2, "(0, inf)")
+    _require("jump_factor", jump_factor, "(0, inf)")
     return _in_float_range("i_pi_w_per_cm2", jump_factor * p_c_watts / sigma_cm2)

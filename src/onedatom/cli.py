@@ -27,7 +27,8 @@ it derives, and a ``versions`` entry adds to the artifact, Python and
 numpy versions.  `run` is the one output path: it refuses a column holding
 NaN (exit 3), writes the CSV, then adds ``command``, ``rows`` and
 ``versions`` to the manifest and writes it.  An output that cannot be
-opened is a usage error naming --out or --manifest, and leaves no file.
+opened, or a --manifest that names the --out file, is a usage error naming
+the flag, and leaves no file.
 
 Rates are in the caller's angular-frequency unit with kappa defaulting
 to 1, so detunings and rates passed on the command line are effectively in
@@ -47,7 +48,8 @@ import numpy as np
 
 from . import __version__
 from .csvio import open_out, write_csv
-from .errors import DomainError, NonFiniteInput, UnsupportedRegime
+from .errors import (DomainError, NonFiniteInput, UnsupportedRegime,
+                     _in_range, _range_text)
 
 #: Most points a grid or a trajectory may have.
 MAX_POINTS = 10 ** 7
@@ -150,33 +152,6 @@ def _dest(flag):
     return flag[2:].replace("-", "_")
 
 
-def _in_range(value, rng):
-    """Whether the number ``value`` lies in the interval ``rng``, written
-    like "(0, 1]"; an infinite bound is reached only through a closed
-    bracket, and NaN lies in no interval."""
-    lo, hi = (float(bound) for bound in rng[1:-1].split(","))
-    return ((lo < value if rng[0] == "(" else lo <= value)
-            and (value < hi if rng[-1] == ")" else value <= hi))
-
-
-def _range_text(rng, kind):
-    """The range ``rng`` of an option of type ``kind`` in words, as in
-    "--flag must be <words>"."""
-    if isinstance(rng, tuple):
-        return f"one of {rng}"
-    if kind is str:
-        return f"comma-separated numbers {_range_text(rng, float)}"
-    lo, hi = (bound.strip() for bound in rng[1:-1].split(","))
-    above = f"{'>' if rng[0] == '(' else '>='} {lo}"
-    if kind is int:
-        return f"an integer {above}" if hi == "inf" else f"an integer in {rng}"
-    if lo == "-inf":
-        return "finite"
-    if hi != "inf":
-        return f"in {rng}"
-    return f"finite and {above}" if rng[-1] == ")" else f"{above} (inf allowed)"
-
-
 def _apply_config(ns, parser, rows):
     """Fill unset options from --config, converted by the row's type (an int
     option converts as a float and is checked for integrality later), then
@@ -226,8 +201,7 @@ def _check_ranges(ns, parser, rows):
             numbers = _parse_list(value)
             ok = bool(numbers) and all(_in_range(v, rng) for v in numbers)
         else:
-            ok = _in_range(value, rng) and (
-                kind is not int or float(value).is_integer())
+            ok = _in_range(value, rng, kind)
         if not ok:
             parser.error(f"{flag} must be {_range_text(rng, kind)}, got "
                          f"{value!r}")
@@ -648,6 +622,10 @@ def run(argv=None) -> int:
         _, rows, handler = _COMMANDS[ns.command]
         _apply_config(ns, parser, rows + _COMMON)
         _check_ranges(ns, parser, rows)
+        if (ns.manifest is not None and ns.out not in (None, "-")
+                and os.path.realpath(ns.manifest) == os.path.realpath(ns.out)):
+            parser.error("--manifest must be a writable file path other "
+                         f"than --out, got {ns.manifest!r}")
         header, columns, manifest = handler(ns, parser)
         for name, column in zip(header, columns):
             if np.isnan(column).any():

@@ -31,11 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_csv
-from .errors import (DomainError, NoConvergence, NonPositiveRate,
-                     StepCollapse, UnsupportedRegime)
+from .errors import (DomainError, NoConvergence, StepCollapse,
+                     UnsupportedRegime, _require)
 from .linear import t0_prime
-from .model import (BlochState, DriveField, SystemParams, _blockwise,
-                    _require_finite)
+from .model import BlochState, DriveField, SystemParams, _blockwise
 from .nonlinear import output_amplitudes
 
 TRAJECTORY_COLUMNS = ("t", "re_s", "im_s", "s_z",
@@ -269,7 +268,7 @@ def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
     Parameters
     ----------
     initial : BlochState
-        Must satisfy the state invariants (|s_z| <= 1/2, |s|^2 <= 1/4).
+        Must lie in the Bloch ball, |s|^2 + s_z^2 <= 1/4.
     samples : int or array of floats
         Number of equally spaced output samples (an integer >= 2, so that
         t = 0 and t = duration are sampled), or explicit sample times:
@@ -292,13 +291,9 @@ def integrate(drive: DriveField, params: SystemParams, initial: BlochState,
         states.
     """
     initial.require_physical()
-    _require_finite("duration", duration)
-    if not duration > 0.0:
-        raise NonPositiveRate(f"duration must be > 0, got {duration}")
+    _require("duration", duration, "(0, inf)")
     if np.isscalar(samples):
-        if not (samples >= 2 and float(samples).is_integer()):
-            raise NonPositiveRate(
-                f"samples must be an integer >= 2, got {samples}")
+        _require("samples", samples, "[2, inf)", int)
         times = np.linspace(0.0, duration, int(samples))
         steps = np.full(times.size, duration / (times.size - 1))
         steps[0] = 0.0
@@ -391,8 +386,8 @@ def settle(drive: DriveField, params: SystemParams, tol=1e-9, *,
 
     Raises
     ------
-    NonPositiveRate
-        If ``tol`` is not > 0.
+    NonFiniteInput, NonPositiveRate
+        Unless ``tol`` is finite and > 0.
     NoConvergence
         If the change is still above ``tol`` at t = 1000/gamma.
     StepCollapse
@@ -400,8 +395,7 @@ def settle(drive: DriveField, params: SystemParams, tol=1e-9, *,
     UnsupportedRegime
         As for `integrate`.
     """
-    if not tol > 0.0:
-        raise NonPositiveRate(f"tol must be > 0, got {tol}")
+    _require("tol", tol, "(0, inf)")
     window = SETTLE_WINDOW / params.gamma
     stop = int(round(SETTLE_MAX_TIME / SETTLE_WINDOW)) + 1
     for system in _ladder(drive, params, BlochState.ground(), full_system):

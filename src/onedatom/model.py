@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (InvalidInitial, NonFiniteInput, NonPositiveRate,
-                     UnsupportedRegime)
+                     UnsupportedRegime, _require)
 
 #: Points per block of `_blockwise`.
 BLOCK_ROWS = 4096
@@ -27,11 +27,6 @@ BLOCK_ROWS = 4096
 #: gamma/kappa threshold under which the adiabatic elimination of the cavity
 #: is considered safe (bad-cavity regime).
 BAD_CAVITY_RATIO = 0.1
-
-
-def _require_finite(name, value):
-    if not math.isfinite(value):
-        raise NonFiniteInput(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -108,27 +103,19 @@ def make_params(gamma, kappa, delta=0.0, gamma_at=0.0, gamma_cav=0.0,
 
     Raises
     ------
-    NonPositiveRate
-        If ``gamma <= 0`` or ``kappa <= 0``, or a leak rate is negative.
-    NonFiniteInput
-        On NaN or infinite inputs.
+    NonFiniteInput, NonPositiveRate
+        Unless gamma and kappa are finite and > 0, delta is finite and
+        each leak rate is finite and >= 0, checked in signature order.
     UnsupportedRegime
         If Q/Q0 is subnormal or (Q/Q0) gamma is 0 (1/f would be 0/0).
     """
-    for name, value in (("gamma", gamma), ("kappa", kappa), ("delta", delta),
-                        ("gamma_at", gamma_at), ("gamma_cav", gamma_cav),
-                        ("gamma_star", gamma_star)):
-        _require_finite(name, value)
-    if gamma <= 0.0:
-        raise NonPositiveRate(f"gamma must be > 0, got {gamma}")
-    if kappa <= 0.0:
-        raise NonPositiveRate(f"kappa must be > 0, got {kappa}")
-    for name, value in (("gamma_at", gamma_at), ("gamma_cav", gamma_cav),
-                        ("gamma_star", gamma_star)):
-        if value < 0.0:
-            raise NonPositiveRate(f"{name} must be >= 0, got {value}")
-    params = SystemParams(float(gamma), float(kappa), float(delta),
-                          float(gamma_at), float(gamma_cav), float(gamma_star))
+    params = SystemParams(
+        float(_require("gamma", gamma, "(0, inf)")),
+        float(_require("kappa", kappa, "(0, inf)")),
+        float(_require("delta", delta, "(-inf, inf)")),
+        float(_require("gamma_at", gamma_at, "[0, inf)")),
+        float(_require("gamma_cav", gamma_cav, "[0, inf)")),
+        float(_require("gamma_star", gamma_star, "[0, inf)")))
     q = params.q_ratio
     if not (q >= sys.float_info.min and q * params.gamma > 0.0):
         raise UnsupportedRegime(
@@ -144,12 +131,8 @@ def params_from_ratios(gamma, kappa, q_ratio=1.0, f=math.inf, delta=0.0) -> Syst
     ``gamma_at`` from f = (Q/Q0) gamma / gamma_at.  ``f=inf`` gives a
     leak-free emitter.
     """
-    _require_finite("q_ratio", q_ratio)
-    if not 0.0 < q_ratio <= 1.0:
-        raise NonPositiveRate(f"q_ratio must be in (0, 1], got {q_ratio}")
-    if not f > 0.0:
-        _require_finite("f", f)
-        raise NonPositiveRate(f"f must be > 0, got {f}")
+    _require("q_ratio", q_ratio, "(0, 1]")
+    _require("f", f, "(0, inf]")
     gamma_cav = 2.0 * kappa * (1.0 / q_ratio - 1.0)
     gamma_at = q_ratio * gamma / f
     return make_params(gamma, kappa, delta=delta, gamma_at=gamma_at,
@@ -298,18 +281,20 @@ class BlochState:
     s_z: float
 
     def is_physical(self, tol=1e-9) -> bool:
+        """Whether |s|^2 + s_z^2 <= 1/4 + ``tol``: the Bloch ball, where
+        the density matrix has no negative eigenvalue."""
         if not (math.isfinite(self.s.real) and math.isfinite(self.s.imag)
                 and math.isfinite(self.s_z)):
             return False
         try:
-            return (abs(self.s_z) <= 0.5 + tol) and (abs(self.s) ** 2 <= 0.25 + tol)
-        except OverflowError:      # |s|^2 beyond the float range
+            return abs(self.s) ** 2 + self.s_z ** 2 <= 0.25 + tol
+        except OverflowError:      # |s|^2 or s_z^2 beyond the float range
             return False
 
     def require_physical(self, tol=1e-9):
         if not self.is_physical(tol):
-            raise InvalidInitial(
-                f"state violates |s_z| <= 1/2 or |s|^2 <= 1/4: {self!r}")
+            raise InvalidInitial("state lies outside the Bloch ball "
+                                 f"|s|^2 + s_z^2 <= 1/4: {self!r}")
 
     @classmethod
     def ground(cls) -> "BlochState":

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import NonFiniteInput, NonPositiveRate, UnsupportedRegime
+from .errors import (NonFiniteInput, NonPositiveRate, UnsupportedRegime,
+                     _require)
 from .linear import _fixed_point
 from .model import ColumnRecord, SystemParams, _blockwise
 
@@ -58,8 +59,8 @@ class FieldProfileModel:
 
     def __post_init__(self):
         if self.kind == "power_law":
-            if self.c_e <= 0.0 or self.p_exp <= 0.0:
-                raise NonPositiveRate("power-law c_e and p_exp must be > 0")
+            _require("c_e", self.c_e, "(0, inf)")
+            _require("p_exp", self.p_exp, "(0, inf)")
         elif self.kind == "tabulated":
             pts = tuple((float(d), float(e2)) for d, e2 in self.table)
             ds = [d for d, _ in pts]
@@ -105,18 +106,11 @@ class PillarDesign:
     gamma_star_ratio: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise NonFiniteInput(f"{f.name} must be finite, got {value!r}")
-        if self.q0 <= 0.0 or self.d <= 0.0 or self.lambda_0 <= 0.0:
-            raise NonPositiveRate("q0, d and lambda_0 must be > 0")
-        if self.epsilon < 0.0 or self.gamma_star_ratio < 0.0:
-            raise NonPositiveRate("epsilon and gamma_star_ratio must be >= 0")
-        if self.n_index <= 1.0:
-            raise NonPositiveRate("n_index must be > 1")
-        if self.loss_ratio <= 0.0:
-            raise NonPositiveRate("loss_ratio must be > 0")
+        for name, rng in (("q0", "(0, inf)"), ("d", "(0, inf)"),
+                          ("epsilon", "[0, inf)"), ("lambda_0", "(0, inf)"),
+                          ("n_index", "(1, inf)"), ("loss_ratio", "(0, inf)"),
+                          ("gamma_star_ratio", "[0, inf)")):
+            _require(name, getattr(self, name), rng)
 
 
 @dataclass(frozen=True)
@@ -308,11 +302,7 @@ def optimize_diameter(q0, objective="contrast", d_range=(0.5, 8.0),
         raise NonFiniteInput(f"d_range must be finite, got {d_range!r}")
     if not 0.0 < lo < hi:
         raise NonPositiveRate(f"invalid d_range {d_range!r}")
-    step = float(grid_step)
-    if not math.isfinite(step):
-        raise NonFiniteInput(f"grid_step must be finite, got {grid_step!r}")
-    if not step > 0.0:
-        raise NonPositiveRate(f"grid_step must be > 0, got {grid_step!r}")
+    step = _require("grid_step", float(grid_step), "(0, inf)")
     cells = (hi - lo) / min(step, 0.05)
     if not cells <= MAX_GRID_CELLS:
         raise UnsupportedRegime(

@@ -824,11 +824,14 @@ def test_non_finite_grids_and_drives_are_usage_errors(tmp_path, capsys,
     (["--out", "missing/k.csv"], "--out"),
     (["--out", "k.csv", "--manifest", "missing/m.json"], "--manifest"),
     (["--out", "-", "--manifest", "missing/m.json"], "--manifest"),
+    (["--out", "k.csv", "--manifest", "k.csv"], "--manifest"),
+    (["--out", "k.csv", "--manifest", "./k.csv"], "--manifest"),
 ])
 def test_outputs_that_cannot_be_opened_are_usage_errors(
         tmp_path, monkeypatch, capsys, outputs, flag):
     # Each ended in a traceback with exit 1; the CSV stayed behind when only
-    # the manifest could not be opened.
+    # the manifest could not be opened.  A --manifest naming the --out file
+    # exited 0 with the manifest in place of the CSV.
     monkeypatch.chdir(tmp_path)
     assert run(["kerr", *outputs]) == 2
     err = capsys.readouterr().err
@@ -1059,6 +1062,22 @@ def test_dynamics_bad_inputs_name_the_flag(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [[], ["--full-system"]])
+def test_initial_state_outside_the_bloch_ball_is_refused(tmp_path, capsys,
+                                                         extra):
+    # Inside the box |s|, |s_z| <= 1/2 but outside the ball: it was
+    # propagated with exit 0, from a density matrix with a negative
+    # eigenvalue for the full system.
+    out = tmp_path / "traj.csv"
+    assert run(["dynamics", "--x", "1", "--kappa", "500", "--samples", "5",
+                "--initial-re-s", "0.5", "--initial-s-z", "0.5", *extra,
+                "--out", str(out)]) == 2
+    assert ("error: --initial-re-s/--initial-im-s/--initial-s-z must be "
+            "valid: state lies outside the Bloch ball"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, code", [
     # Rates near the float range settle at once (was LSODA return code -3).
     (["--gamma", "1e300", "--x", "1"], 0),
@@ -1189,7 +1208,7 @@ def test_an_overflowing_default_duration_names_its_flags(tmp_path, capsys,
     assert run(["dynamics", "--kappa", "1e-306", *rates, "--samples", "3",
                 "--out", str(out)]) == 2
     assert (f"error: --duration/{flags} must be valid: duration must be "
-            "finite, got inf") in capsys.readouterr().err
+            "finite and > 0, got inf") in capsys.readouterr().err
     assert not out.exists()
 
 

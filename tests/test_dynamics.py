@@ -510,8 +510,10 @@ def test_solver_reports_squarings():
 
 @pytest.mark.parametrize("samples", [0, 1, -2, math.nan])
 def test_integrate_rejects_fewer_than_two_samples(samples):
+    # NaN is a NonFiniteInput, as for every other argument.
+    error = NonFiniteInput if math.isnan(samples) else NonPositiveRate
     drive = DriveField.from_power(0.0, 0.25)
-    with pytest.raises(NonPositiveRate, match="samples"):
+    with pytest.raises(error, match="samples must be an integer >= 2"):
         integrate(drive, IDEAL, BlochState.ground(), 10.0, samples=samples)
 
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from onedatom import (BlochState, DomainError, DriveField, NonFiniteInput,
-                      NonPositiveRate, UnsupportedRegime, bistability_scan, cli,
-                      contrast_enhancement, make_params,
+from onedatom import (BlochState, DomainError, DriveField, InvalidInitial,
+                      NonFiniteInput, NonPositiveRate, UnsupportedRegime,
+                      bistability_scan, cli, contrast_enhancement, make_params,
                       outcome_from_amplitudes, params_from_ratios,
                       saturation_curve)
 from onedatom.model import _drive_power
@@ -119,6 +119,21 @@ def test_bloch_state_invariants():
     assert not BlochState(0.0j, 0.7).is_physical()
     assert not BlochState(0.6 + 0.0j, -0.5).is_physical()
     assert not BlochState(complex(math.nan), 0.0).is_physical()
+
+
+@pytest.mark.parametrize("s, s_z", [
+    (0.5, 0.5), (0.5j, -0.5), (0.3 + 0.3j, 0.3), (0.4, -0.35),
+    (0.3, 0.39), (0.4j, -0.29), (0.0, 1e200), (1e200, 0.0)])
+def test_bloch_state_is_physical_inside_the_bloch_ball(s, s_z):
+    # (0.5, 0.5) and (0.5j, -0.5) passed the box |s_z| <= 1/2, |s| <= 1/2;
+    # their density matrix has a negative eigenvalue.
+    rho = np.array([[0.5 - s_z, np.conj(s)], [s, 0.5 + s_z]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside = bool(np.linalg.eigvalsh(rho).min() >= 0.0)
+    assert BlochState(complex(s), s_z).is_physical() == inside
+    if not inside:
+        with pytest.raises(InvalidInitial, match="outside the Bloch ball"):
+            BlochState(complex(s), s_z).require_physical()
 
 
 def test_outcome_bookkeeping():
