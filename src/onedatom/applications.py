@@ -113,11 +113,9 @@ def bistability_scan(params: SystemParams, fraction_a, x_grid) -> BistabilityRes
     checked one fraction and one block (with the point before it) at a
     time; an array ``fraction_a`` gives arrays of fractions and verdicts.
     """
-    a = np.asarray(fraction_a, dtype=float)
-    if not np.all((0.0 <= a) & (a < 1.0)):
-        raise NonPositiveRate(f"fraction_a must be in [0, 1), got {fraction_a}")
-    x = np.asarray(x_grid, dtype=float).reshape(-1)
-    if x.size < 2 or np.any(x <= 0.0) or np.any(np.diff(x) <= 0.0):
+    a = _require("fraction_a", np.asarray(fraction_a, dtype=float), "[0, 1)")
+    x = _require("x_grid", np.asarray(x_grid, float).ravel(), "(0, inf)")
+    if x.size < 2 or np.any(np.diff(x) <= 0.0):
         raise NonPositiveRate("x_grid must be positive, sorted, len >= 2")
     mantissa, exponent = math.frexp(params.gamma)
 

@@ -4,9 +4,10 @@ Eight subcommands (spectrum, saturation, dynamics, pillar, slowlight,
 bistability, reshape, kerr) produce deterministic CSV data on --out or
 stdout plus a JSON run manifest (inputs, derived parameters, results,
 versions).  The manifest is written next to --out as
-``<out>.manifest.json``; when the CSV goes to stdout the manifest goes to
-stderr.  Every option can also be supplied through ``--config file.json``
-(keys mirror the flag names); explicit flags win over the config file.
+``<out>.manifest.json``, or to --manifest; when the CSV goes to stdout, or
+--manifest is "-", the manifest goes to stderr.  Every option can also be
+supplied through ``--config file.json`` (keys mirror the flag names);
+explicit flags win over the config file.
 
 Each subcommand is one entry of ``_COMMANDS``: its help line, its option
 rows and its handler.  A call uses the parser of the subcommand it names
@@ -120,15 +121,15 @@ def _json_safe(v):
 
 
 def _write_manifest(ns, parser, manifest):
-    """Write ``manifest`` to its path, or to stderr when the CSV went to
-    stdout.  A path that cannot be written is a usage error naming the flag
-    that set it, and the CSV file written before it is removed."""
+    """Write ``manifest`` to its path, or to stderr if that is "-" or the
+    CSV went to stdout.  A path that cannot be written is a usage error
+    naming the flag that set it; the CSV written before it is removed."""
     manifest = _json_safe(manifest)
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     path, flag = ns.manifest, "--manifest"
     if path is None and ns.out not in (None, "-"):
         path, flag = ns.out + ".manifest.json", "--out"
-    if path is None:
+    if path in (None, "-"):
         sys.stderr.write(text)
         return
     try:
@@ -195,9 +196,7 @@ def _check_ranges(ns, parser, rows):
         value = getattr(ns, _dest(flag))
         if rng is None or value is None:
             continue
-        if isinstance(rng, tuple):
-            ok = value in rng
-        elif kind is str:
+        if kind is str and not isinstance(rng, tuple):
             numbers = _parse_list(value)
             ok = bool(numbers) and all(_in_range(v, rng) for v in numbers)
         else:
@@ -466,7 +465,7 @@ _COMMON = (
     ("--config", str, None, None, "JSON file mirroring the flag names", None),
     ("--out", str, None, None, "CSV output path (default: stdout)", None),
     ("--manifest", str, None, None,
-     "manifest path (default: <out>.manifest.json)", None),
+     "manifest path, or - for stderr (default: <out>.manifest.json)", None),
 )
 
 #: Subcommand name -> (help line, option rows, handler).  A row is (flag,
@@ -622,7 +621,7 @@ def run(argv=None) -> int:
         _, rows, handler = _COMMANDS[ns.command]
         _apply_config(ns, parser, rows + _COMMON)
         _check_ranges(ns, parser, rows)
-        if (ns.manifest is not None and ns.out not in (None, "-")
+        if (ns.manifest not in (None, "-") and ns.out not in (None, "-")
                 and os.path.realpath(ns.manifest) == os.path.realpath(ns.out)):
             parser.error("--manifest must be a writable file path other "
                          f"than --out, got {ns.manifest!r}")

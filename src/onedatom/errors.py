@@ -1,12 +1,15 @@
-"""Exception hierarchy shared by all modules, and the one interval rule.
+"""Exception hierarchy shared by all modules, and the one range rule.
 
 Everything that represents a violated physical precondition derives from
 :class:`DomainError`: CLI exit code 3, or 2 where it refuses an option.
-The range of a scalar argument, in the library as in the CLI's option
-table, is an interval like "(0, 1]": an infinite bound is reached only
+The range of an argument, in the library as in the CLI's option table, is
+a tuple of the allowed strings or an interval like "(0, 1]" that bounds a
+number or each entry of an array: an infinite bound is reached only
 through a closed bracket, and NaN lies in no interval.  `_require` refuses
-a value outside it as "<name> must be <range in words>, got <value>", a
-`NonFiniteInput` for NaN or an infinity, else a `NonPositiveRate`.
+a value outside it as "<name> must be <range in words>, got <value>", an
+array at its first entry outside it ("got nan at index 3"), and raises
+`NonFiniteInput` if that entry is NaN or an infinity, else
+`NonPositiveRate`.  This module loads no numpy.
 """
 
 from functools import cache as _cache
@@ -64,18 +67,24 @@ def _bounds(rng):
 
 
 def _in_range(value, rng, kind=float):
-    """Whether the number ``value`` lies in the interval ``rng`` and, for
-    ``kind`` int, is a whole number."""
+    """Whether ``value`` is one of the tuple ``rng`` or lies in the interval
+    ``rng`` (a bool array for an array) and, for ``kind`` int (then a
+    scalar), is a whole number.  A 0-d array is compared as its Python
+    number, several times faster than through numpy."""
+    if isinstance(rng, tuple):
+        return value in rng
+    if getattr(value, "ndim", None) == 0:
+        value = value.item()
     lo, hi, lo_open, hi_open = _bounds(rng)
-    return ((lo < value if lo_open else lo <= value)
-            and (value < hi if hi_open else value <= hi)
-            and (kind is not int or value % 1 == 0))
+    ok = ((lo < value if lo_open else lo <= value)
+          & (value < hi if hi_open else value <= hi))
+    return ok and value % 1 == 0 if kind is int else ok
 
 
 def _range_text(rng, kind=float):
     """The range ``rng`` of a value of type ``kind`` in words, as in
-    "<name> must be <words>"; the CLI also passes a tuple of strings, or an
-    interval of each number of a ``kind`` str list."""
+    "<name> must be <words>"; the CLI also passes an interval of each
+    number of a ``kind`` str list."""
     if isinstance(rng, tuple):
         return f"one of {rng}"
     if kind is str:
@@ -91,11 +100,26 @@ def _range_text(rng, kind=float):
     return f"finite and {above}" if rng[-1] == ")" else f"{above} (inf allowed)"
 
 
+def _show(value, bad, start=0):
+    """The first entry of ``value`` flagged in ``bad`` as a Python number,
+    and its repr with " at index <i + start>", i its flat index; a scalar
+    or a 0-d array is its own entry, shown without an index."""
+    if getattr(value, "ndim", 0) == 0:
+        value = value.item() if hasattr(value, "item") else value
+        return value, repr(value)
+    i = int(bad.ravel().argmax())
+    entry = value.ravel()[i].item()
+    return entry, f"{entry!r} at index {start + i}"
+
+
 def _require(name, value, rng, kind=float):
-    """``value``, the argument ``name``, if it lies in the interval ``rng``
-    (and, for ``kind`` int, is a whole number); else `NonFiniteInput` for
-    NaN or an infinity, `NonPositiveRate` for any other value."""
-    if _in_range(value, rng, kind):
+    """``value``, the argument ``name``, if it lies in the range ``rng``
+    (see `_in_range`); else `NonFiniteInput` if its first entry outside
+    ``rng`` is NaN or an infinity, `NonPositiveRate` otherwise."""
+    ok = _in_range(value, rng, kind)
+    if ok is True or ok is not False and ok.all():
         return value
-    error = NonPositiveRate if abs(value) < float("inf") else NonFiniteInput
-    raise error(f"{name} must be {_range_text(rng, kind)}, got {value!r}")
+    entry, shown = _show(value, ~ok)
+    error = (NonPositiveRate if isinstance(rng, tuple)
+             or abs(entry) < float("inf") else NonFiniteInput)
+    raise error(f"{name} must be {_range_text(rng, kind)}, got {shown}")

@@ -18,8 +18,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (InvalidInitial, NonFiniteInput, NonPositiveRate,
-                     UnsupportedRegime, _require)
+from .errors import (InvalidInitial, NonFiniteInput, UnsupportedRegime,
+                     _require, _show)
 
 #: Points per block of `_blockwise`.
 BLOCK_ROWS = 4096
@@ -158,12 +158,11 @@ class DriveField:
     b_in: complex = 0.0 + 0.0j
 
     def __post_init__(self):
-        for name in ("delta_omega", "b_in"):
-            value = getattr(self, name)
-            bad = ~np.isfinite(value)
-            if bad.any():
-                raise NonFiniteInput(
-                    f"{name} must be finite, got {_show(value, bad)}")
+        _require("delta_omega", np.asarray(self.delta_omega), "(-inf, inf)")
+        bad = ~np.isfinite(self.b_in)
+        if bad.any():
+            raise NonFiniteInput(
+                f"b_in must be finite, got {_show(self.b_in, bad)[1]}")
 
     @property
     def p_in(self) -> float:
@@ -175,21 +174,9 @@ class DriveField:
     def from_power(cls, delta_omega, p_in) -> "DriveField":
         """The drive of power ``p_in`` >= 0 at ``delta_omega``; arrays give
         both fields their broadcast shape."""
-        p_in = np.asarray(p_in, dtype=float)
-        bad = p_in < 0.0
-        if bad.any():
-            raise NonPositiveRate(f"p_in must be >= 0, got {_show(p_in, bad)}")
+        p_in = _require("p_in", np.asarray(p_in, dtype=float), "[0, inf)")
         return cls(*_blockwise((delta_omega, p_in), (float, complex),
                                lambda _, dw, p: (dw, np.sqrt(p))))
-
-
-def _show(value, bad, start=0):
-    """Repr of a scalar, or of the first entry of an array flagged in
-    ``bad`` with its index plus ``start``, as a Python number."""
-    if np.ndim(value) == 0:
-        return repr(np.asarray(value).item())
-    i = int(np.argmax(np.ravel(bad)))
-    return f"{np.ravel(value)[i].item()!r} at index {start + i}"
 
 
 def _drive_power(x, gamma, start=0, extinction=1.0):
@@ -209,7 +196,7 @@ def _drive_power(x, gamma, start=0, extinction=1.0):
         bad = bad.reshape((-1,) + grid.shape).any(0)
         raise UnsupportedRegime(
             "x must be 0 or give finite drive powers 0.25*x*gamma/extinction"
-            f" >= {sys.float_info.min}, got x = {_show(grid, bad, start)}")
+            f" >= {sys.float_info.min}, got x = {_show(grid, bad, start)[1]}")
     return power
 
 

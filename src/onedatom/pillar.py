@@ -27,8 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (NonFiniteInput, NonPositiveRate, UnsupportedRegime,
-                     _require)
+from .errors import NonPositiveRate, UnsupportedRegime, _require
 from .linear import _fixed_point
 from .model import ColumnRecord, SystemParams, _blockwise
 
@@ -58,20 +57,19 @@ class FieldProfileModel:
     table: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind == "power_law":
+        kind = _require("kind", self.kind, ("power_law", "tabulated"))
+        if kind == "power_law":
             _require("c_e", self.c_e, "(0, inf)")
             _require("p_exp", self.p_exp, "(0, inf)")
-        elif self.kind == "tabulated":
-            pts = tuple((float(d), float(e2)) for d, e2 in self.table)
-            ds = [d for d, _ in pts]
-            if len(pts) < 2 or any(b <= a for a, b in zip(ds, ds[1:])):
-                raise NonPositiveRate(
-                    "tabulated profile needs >= 2 strictly increasing diameters")
-            if any(not 0.0 <= e2 <= 1.0 for _, e2 in pts):
-                raise NonPositiveRate("tabulated |E(d)|^2 must lie in [0, 1]")
-            object.__setattr__(self, "table", pts)
-        else:
-            raise NonPositiveRate(f"unknown field model kind {self.kind!r}")
+            return
+        pts = tuple((float(d), float(e2)) for d, e2 in self.table)
+        ds = [d for d, _ in pts]
+        if len(pts) < 2 or any(b <= a for a, b in zip(ds, ds[1:])):
+            raise NonPositiveRate(
+                "tabulated profile needs >= 2 strictly increasing diameters")
+        _require("tabulated |E(d)|^2", np.array([e2 for _, e2 in pts]),
+                 "[0, 1]")
+        object.__setattr__(self, "table", pts)
 
     def field_sq(self, d):
         """|E(d)|^2 at a diameter, or elementwise over an array of them."""
@@ -240,11 +238,7 @@ def purcell_factor(design: PillarDesign, field_model: FieldProfileModel = None) 
 
 def sweep_diameter(q0, d_grid, field_model=None, **design_kwargs) -> DiameterSweep:
     """Figures of merit for every diameter of ``d_grid``, in one array call."""
-    d = np.asarray(d_grid, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(d)):
-        raise NonFiniteInput("d_grid must be finite")
-    if not np.all(d > 0.0):
-        raise NonPositiveRate("d_grid must be > 0")
+    d = _require("d_grid", np.asarray(d_grid, float).ravel(), "(0, inf)")
     # d=1.0 stands in for the grid, checked above: the constructor
     # validates every other parameter.
     design = PillarDesign(q0=q0, d=1.0, **design_kwargs)
@@ -293,15 +287,12 @@ def optimize_diameter(q0, objective="contrast", d_range=(0.5, 8.0),
     larger than 4 eps max(T_max), the rounding of T_max - T_min, at the
     first point.
     """
-    if objective not in _OBJECTIVE_COLUMN:
+    key = _OBJECTIVE_COLUMN[_require("objective", objective, OBJECTIVES)]
+    lo = _require("d_range[0]", float(d_range[0]), "(0, inf)")
+    hi = _require("d_range[1]", float(d_range[1]), "(0, inf)")
+    if not lo < hi:
         raise NonPositiveRate(
-            f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    key = _OBJECTIVE_COLUMN[objective]
-    lo, hi = float(d_range[0]), float(d_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise NonFiniteInput(f"d_range must be finite, got {d_range!r}")
-    if not 0.0 < lo < hi:
-        raise NonPositiveRate(f"invalid d_range {d_range!r}")
+            f"d_range[0] must be < d_range[1], got {d_range!r}")
     step = _require("grid_step", float(grid_step), "(0, inf)")
     cells = (hi - lo) / min(step, 0.05)
     if not cells <= MAX_GRID_CELLS:

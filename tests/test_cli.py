@@ -694,6 +694,15 @@ def test_stdout_csv_and_stderr_manifest(capsys):
     assert manifest["command"] == "spectrum"
 
 
+def test_a_dash_manifest_goes_to_stderr(tmp_path, monkeypatch, capsys):
+    # Was written to a file named "-" next to the CSV.
+    monkeypatch.chdir(tmp_path)
+    assert run(["kerr", "--out", "a.csv", "--manifest", "-"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+    manifest = json.loads(capsys.readouterr().err)
+    assert manifest["command"] == "kerr" and manifest["rows"] == 1
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": "-1:1:11", "f": 5.0}))
